@@ -160,6 +160,9 @@ def backward(loss: Tensor) -> None:
         gouts = [np.zeros_like(o.data) if g is None else g for g, o in zip(gouts, n.outputs)]
         n.backward_fn(gouts, sink)
         n.done = True
+        # the closure holds the arrays saved for backward; a node and its
+        # outputs form a cycle, so drop them now rather than at the next GC
+        n.backward_fn = None
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +408,24 @@ def _lstm_gates(pre: np.ndarray, hidden: int):
     return i, f, g, o
 
 
+def _lstm_grads(dh, dc, c_prev, i, f, g, o, tc):
+    """Backward through one LSTM step's gates.
+
+    dh and dc are the gradients reaching the step's new hidden and cell
+    states from outside the cell; tc is tanh of the new cell state. Returns
+    the gradient of the gate preactivations and the total gradient of the
+    new cell state (times f, that is the gradient of the previous one).
+    """
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = np.concatenate([
+        dc * g * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        dc * i * (1.0 - g * g),
+        dh * tc * o * (1.0 - o),
+    ], axis=-1)
+    return da, dc
+
+
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               w_ih: Tensor, w_hh: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step. Returns (h_next, c_next).
@@ -427,18 +448,7 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     h_new = o * tc
 
     def bwd(gs, sink):
-        dh, dc_out = gs
-        do = dh * tc
-        dc = dc_out + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * cd
-        dg = dc * i
-        da = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
+        da, dc = _lstm_grads(gs[0], gs[1], cd, i, f, g, o, tc)
         sink(x, da @ w_ih.data.T)
         sink(h_prev, da @ w_hh.data.T)
         sink(c_prev, dc * f)
@@ -488,21 +498,11 @@ def lstm_sequence(pre_x: Tensor, w_hh: Tensor) -> Tensor:
         dh = np.zeros(hidden)
         dc = np.zeros(hidden)
         for t in range(steps - 1, -1, -1):
-            i, f, g, o = i_all[t], f_all[t], g_all[t], o_all[t]
-            tc = np.tanh(c_all[t])
+            f = f_all[t]
             dh = dh + dH[t]
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
             c_prev = c_all[t - 1] if t > 0 else np.zeros(hidden)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            da = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ])
+            da, dc = _lstm_grads(dh, dc, c_prev, i_all[t], f, g_all[t], o_all[t],
+                                 np.tanh(c_all[t]))
             d_pre[t] = da
             h_prev = h_all[t - 1] if t > 0 else np.zeros(hidden)
             d_whh += np.outer(h_prev, da)

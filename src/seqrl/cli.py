@@ -9,6 +9,7 @@ override its values. Exit codes: 0 success, 2 config, 3 schema/parse,
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import sys
@@ -165,10 +166,11 @@ def evaluate_cmd(ckpt_path, corpus_path, beam, report_path):
     _check_corpus(corpus, config, "evaluation")
     result = evaluate(corpus, params, config, beam=beam)
     if report_path:
-        lines = ["uid,reference,hypothesis,distance"]
-        lines += [f"{r.uid},{r.reference},{r.hypothesis},{r.distance}" for r in result.rows]
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(report_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["uid", "reference", "hypothesis", "distance"])
+            writer.writerows([r.uid, r.reference, r.hypothesis, r.distance]
+                             for r in result.rows)
         click.echo(f"wrote {report_path}")
     click.echo(f"utterances {len(result.rows)}")
     click.echo(f"cer {result.cer:.17g}")

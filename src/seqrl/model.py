@@ -130,10 +130,15 @@ def check_params(params: dict[str, Tensor], config: ModelConfig) -> None:
 
 @dataclass
 class EncoderStates:
-    """Per-frame encoder states after subsampling, plus the raw frame count."""
+    """Per-frame encoder states after subsampling, plus the raw frame count.
+
+    With the mlp scorer, ``mlp_proj`` holds the encoder side of the attention
+    preactivation, ``states @ att.mlp.w_enc``, computed once per utterance.
+    """
 
     states: Tensor  # (S', 2 * enc_hidden)
     source_length: int
+    mlp_proj: Tensor | None = None  # (S', mlp_hidden), mlp scorer only
 
 
 @dataclass
@@ -179,7 +184,8 @@ def encode(features, params: dict[str, Tensor], config: ModelConfig) -> EncoderS
         x = ad.concat([h_f, h_b], axis=1)
         if layer >= first_subsampled:
             x = ad.gather_rows(x, range(0, steps, 2))
-    return EncoderStates(states=x, source_length=source_length)
+    mlp_proj = ad.matmul(x, params["att.mlp.w_enc"]) if config.scorer == "mlp" else None
+    return EncoderStates(states=x, source_length=source_length, mlp_proj=mlp_proj)
 
 
 def attention_score(h_enc: Tensor, h_dec: Tensor, params: dict[str, Tensor],
@@ -203,8 +209,7 @@ def attend(enc: EncoderStates, h_dec: Tensor, params: dict[str, Tensor],
     elif config.scorer == "bilinear":
         scores = ad.matmul(henc, ad.matmul(params["att.bilinear.w"], h_dec))
     else:
-        pre = ad.add_row(ad.matmul(henc, params["att.mlp.w_enc"]),
-                         ad.matmul(h_dec, params["att.mlp.w_dec"]))
+        pre = ad.add_row(enc.mlp_proj, ad.matmul(h_dec, params["att.mlp.w_dec"]))
         scores = ad.matmul(ad.tanh(pre), params["att.mlp.v"])
     alignment = ad.softmax(scores)
     context = ad.matmul(alignment, henc)
@@ -235,11 +240,13 @@ def decode_step(prev_id: int, state: DecoderState, enc: EncoderStates,
 
 
 def sequence_log_prob(features, transcript, params: dict[str, Tensor],
-                      config: ModelConfig) -> tuple[Tensor, list[Tensor]]:
+                      config: ModelConfig,
+                      enc: EncoderStates | None = None) -> tuple[Tensor, list[Tensor]]:
     """Teacher-forced log P(transcript | features).
 
     The transcript must end with eos. Returns the total (0-D tensor) and the
-    per-step picked log-probs, whose values sum to the total.
+    per-step picked log-probs, whose values sum to the total. A caller that
+    already encoded ``features`` passes the result as ``enc``.
     """
     transcript = [int(y) for y in transcript]
     if not transcript or transcript[-1] != config.eos_id:
@@ -247,7 +254,8 @@ def sequence_log_prob(features, transcript, params: dict[str, Tensor],
     for y in transcript[:-1]:
         if y < 0 or y >= config.eos_id:
             raise IndexError(f"transcript symbol id {y} out of range [0, {config.eos_id})")
-    enc = encode(features, params, config)
+    if enc is None:
+        enc = encode(features, params, config)
     state = initial_decoder_state(config)
     prev = config.sos_id
     per_step: list[Tensor] = []

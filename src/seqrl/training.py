@@ -20,7 +20,7 @@ from .checkpoint import Checkpoint, save_checkpoint, validate_checkpoint
 from .data import Corpus, corpus_cer
 from .decoding import beam_search, greedy_decode, sample_sequences
 from .errors import ConfigError, SchemaError
-from .model import ModelConfig, check_params, init_params, sequence_log_prob
+from .model import ModelConfig, check_params, encode, init_params, sequence_log_prob
 from .objectives import RlConfig, combined_loss, mle_loss, rl_surrogate
 from .rewards import MovingStats
 
@@ -318,13 +318,15 @@ def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
             for idx in chunk:
                 utt = train.utterances[int(idx)]
                 target = utt.transcript + (eos,)
-                _, per_step = sequence_log_prob(utt.features, target, params, config.model)
+                enc = encode(utt.features, params, config.model)
+                _, per_step = sequence_log_prob(utt.features, target, params, config.model,
+                                                enc=enc)
                 mle = mle_loss(per_step, target)
                 batch = sample_sequences(
                     utt.features, params, config.model, rl_cfg.num_samples,
                     None, np.random.SeedSequence(
                         [config.seed, _TAG_SAMPLES, epoch, int(idx)]),
-                    utterance_index=int(idx))
+                    utterance_index=int(idx), enc=enc)
                 surrogate, totals = rl_surrogate(batch, utt.transcript, rl_cfg, stats)
                 loss = combined_loss(mle, surrogate, rl_cfg.rl_weight)
                 ad.backward(loss)

@@ -1,5 +1,8 @@
 """Tape engine: op semantics, backward rules vs finite differences, errors."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +279,30 @@ def test_shared_subexpression_accumulates_through_fanout():
     ad.backward(loss)
     expected = (2.0 * np.tanh(p.data) + 1.0) * (1.0 - np.tanh(p.data) ** 2)
     np.testing.assert_allclose(p.grad, expected, atol=1e-14)
+
+
+def test_backward_frees_saved_arrays_without_gc():
+    # a node and its outputs reference each other; backward must drop the
+    # closure itself so its saved arrays do not wait for the cyclic collector
+    p = ad.parameter(np.random.default_rng(19).normal(size=4))
+    out = ad.log_softmax(p)
+    saved = [cell.cell_contents for cell in out.node.backward_fn.__closure__
+             if isinstance(cell.cell_contents, np.ndarray)]
+    assert saved
+    refs = [weakref.ref(arr) for arr in saved]
+    del saved
+    loss = ad.pick(out, 1)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ad.backward(loss)
+        assert all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert out.node.done
+    with pytest.raises(RuntimeError, match="already"):
+        ad.backward(loss)
 
 
 def test_no_grad_suppresses_taping():

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on a toy corpus."""
 
+import csv
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 
 from seqrl.checkpoint import load_checkpoint
 from seqrl.cli import main
-from seqrl.data import load_corpus
+from seqrl.data import Corpus, Vocabulary, load_corpus, save_corpus
 
 CONFIG = {
     "model": {"feature_dim": 4, "enc_hidden": 4, "enc_layers": 2,
@@ -114,6 +115,30 @@ def test_evaluate_reports_cer(workspace):
     lines = report.read_text().splitlines()
     assert lines[0] == "uid,reference,hypothesis,distance"
     assert len(lines) == 3
+
+
+def test_evaluate_report_quotes_symbols_with_commas(workspace, tmp_path):
+    # vocabulary symbols may contain commas and quotes; the report stays valid CSV
+    root, runner, _ = workspace
+    dev = load_corpus(str(root / "toy.dev"))
+    odd = Corpus(vocab=Vocabulary.from_graphemes(["a,b", '"q', "c"]),
+                 feature_dim=dev.feature_dim, utterances=dev.utterances)
+    save_corpus(odd, str(tmp_path / "odd.dev"))
+    report = tmp_path / "odd_report.csv"
+    run_ok(runner, ["evaluate",
+                    "--checkpoint", str(root / "run1" / "mle_best.ckpt"),
+                    "--corpus", str(tmp_path / "odd.dev"),
+                    "--beam", "1", "--report", str(report)])
+    with open(report, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["uid", "reference", "hypothesis", "distance"]
+    assert len(rows) == 1 + len(odd)
+    for row, utt in zip(rows[1:], odd):
+        assert len(row) == 4
+        assert row[0] == utt.uid
+        assert row[1] == odd.vocab.to_string(utt.transcript)
+        assert int(row[3]) >= 0
+    assert any("," in row[1] or '"' in row[1] for row in rows[1:])
 
 
 def test_evaluate_rejects_mismatched_corpus(workspace, tmp_path):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from seqrl import autodiff as ad
-from seqrl.decoding import (Hypothesis, SampleBatch, beam_search, forced_decode,
+from seqrl.decoding import (Hypothesis, SampleBatch, _rollout, beam_search, forced_decode,
                             greedy_decode, sample_sequences)
-from seqrl.model import ModelConfig, encode, init_params, param_shapes, sequence_log_prob
+from seqrl.model import (ModelConfig, decode_step, encode, init_params,
+                         initial_decoder_state, param_shapes, sequence_log_prob)
+from seqrl.oracles import finite_difference, l2_rel_error
 
 from test_model import zero_params
 
@@ -132,6 +134,14 @@ def test_forced_decode_truncated_form(tiny_model):
         forced_decode(feats, params, config, [], terminated=False)
 
 
+def test_forced_decode_rejects_bad_symbol_ids(tiny_model):
+    config, params = tiny_model
+    feats = random_feats(6)
+    for bad in (-1, config.vocab_size):
+        with pytest.raises(IndexError, match="out of range"):
+            forced_decode(feats, params, config, [0, bad], terminated=True)
+
+
 def test_sampled_log_probs_stay_differentiable(tiny_model):
     config, params = tiny_model
     feats = random_feats(7)
@@ -196,3 +206,99 @@ def test_beam_rejects_bad_width(tiny_model):
     config, params = tiny_model
     with pytest.raises(ValueError, match="beam"):
         beam_search(random_feats(9), params, config, beam=0)
+
+
+# ---------------------------------------------------------------------------
+# the row-batched rollout against the taped single-step reference
+
+
+def scorer_config(scorer):
+    return ModelConfig(vocab_size=4, feature_dim=3, enc_hidden=2, enc_layers=2,
+                       subsample_layers=1, embed_dim=3, dec_hidden=4,
+                       scorer=scorer, mlp_hidden=3)
+
+
+def stepwise_log_probs(feats, symbols, params, config):
+    """Per-step log-probs of a symbol sequence from a loop over decode_step."""
+    with ad.no_grad():
+        enc = encode(feats, params, config)
+        state = initial_decoder_state(config)
+        prev = config.sos_id
+        out = []
+        for y in symbols:
+            log_probs, state = decode_step(prev, state, enc, params, config)
+            out.append(float(log_probs.data[y]))
+            prev = y
+    return tuple(out)
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_rollouts_match_decode_step_bitwise(scorer):
+    config = scorer_config(scorer)
+    eos = config.eos_id
+    for seed in range(4):
+        params = init_params(config, seed, scale=1.0)
+        feats = random_feats(seed + 400, frames=6)
+        batch = sample_sequences(feats, params, config, num_samples=9, max_len=5,
+                                 rng=seed)
+        for hyp in batch.samples:
+            symbols = hyp.graphemes + (() if hyp.truncated else (eos,))
+            assert hyp.step_log_probs == stepwise_log_probs(feats, symbols, params, config)
+        greedy = greedy_decode(feats, params, config, max_len=5)
+        symbols = greedy.graphemes + (() if greedy.truncated else (eos,))
+        assert greedy.step_log_probs == stepwise_log_probs(feats, symbols, params, config)
+        for graphemes, terminated in (((0, 2, 1), True), ((1, 1), False), ((), True)):
+            forced = forced_decode(feats, params, config, graphemes, terminated=terminated)
+            symbols = graphemes + ((eos,) if terminated else ())
+            assert forced.step_log_probs == stepwise_log_probs(feats, symbols, params, config)
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_sample_m_independent_of_num_samples(scorer):
+    config = scorer_config(scorer)
+    params = init_params(config, 3, scale=1.0)
+    feats = random_feats(500, frames=7)
+    batches = {n: sample_sequences(feats, params, config, num_samples=n, max_len=6, rng=21)
+               for n in (1, 3, 16, 17)}
+    for n, batch in batches.items():
+        for m, hyp in enumerate(batch.samples):
+            assert hyp == batches[17].samples[m], (n, m)
+            assert hyp.step_log_probs == batches[17].samples[m].step_log_probs
+            assert batch.seeds[m] == (m,)
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_rollout_gradient_matches_finite_differences(scorer):
+    # rows end at different steps and one is cut at max_len; every picked
+    # log-prob gets its own random coefficient
+    config = scorer_config(scorer)
+    params = init_params(config, 8, scale=1.0)
+    feats = random_feats(600, frames=6)
+    eos = config.eos_id
+    rows = [(0, 1, eos), (2, eos), (eos,), (1, 0, 2, 1), (0, 0, 1, eos)]
+    max_len = 4
+    coeffs = np.random.default_rng(9).normal(size=(len(rows), max_len))
+
+    def choose(_log_probs, live, step):
+        return [rows[r][step] for r in live.tolist()]
+
+    def objective():
+        enc = encode(feats, params, config)
+        hyps = _rollout(enc, params, config, max_len, len(rows), choose)
+        assert [h.truncated for h in hyps] == [False, False, False, True, False]
+        terms = [ad.scale(node, float(coeffs[r, t]))
+                 for r, hyp in enumerate(hyps) for t, node in enumerate(hyp.lp_nodes)]
+        return ad.add_n(terms)
+
+    for p in params.values():
+        p.zero_grad()
+    ad.backward(objective())
+    analytic = {name: p.grad.copy() for name, p in params.items()}
+
+    def value():
+        with ad.no_grad():
+            return objective().item()
+
+    for name, p in params.items():
+        numeric = finite_difference(value, [p])[0]
+        assert l2_rel_error(analytic[name], numeric) <= 1e-6, name
