@@ -20,10 +20,9 @@ from .model import (ModelConfig, count_params, default_max_len, encode,
 from .objectives import (RlConfig, combined_loss, mle_loss,
                          reinforce_final_gradient, reinforce_time_gradient,
                          rl_surrogate)
-from .rewards import (MovingStats, RewardTrace, discounted_returns,
-                      edit_distance, normalize_final, normalize_timewise,
-                      prefix_edit_distances, reward_trace, step_rewards,
-                      total_reward)
+from .rewards import (MovingStats, discounted_returns, edit_distance,
+                      normalize_final, normalize_timewise,
+                      prefix_edit_distances, step_rewards, total_reward)
 from .training import (AdamState, EvalResult, MetricsRow, TrainConfig,
                        TrainResult, adam_update, evaluate, train_mle,
                        train_rl, write_metrics)

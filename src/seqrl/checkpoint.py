@@ -11,13 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _expect_kv, _f17, _LineReader, _write_lines
 from .errors import ParseError, SchemaError
 from .model import ModelConfig, param_shapes
 from .rewards import MovingStats
-
-
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 @dataclass
@@ -57,45 +54,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
             for row in arr.reshape(arr.shape[0], -1) if arr.ndim == 2 else [arr]:
                 lines.append(" ".join(_f17(v) for v in row))
     lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-class _Reader:
-    def __init__(self, path: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
-
-    def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ParseError(f"unexpected end of file, expected {what}", self.pos + 1)
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-    @property
-    def line_no(self) -> int:
-        return self.pos
-
-
-def _kv(reader: _Reader, key: str, allow_empty: bool = False) -> str:
-    line = reader.next(f"'{key} ...'")
-    if allow_empty and line == key:
-        return ""
-    parts = line.split(maxsplit=1)
-    if not parts or parts[0] != key or (len(parts) == 1 and not allow_empty):
-        raise ParseError(f"expected '{key} ...', got {line!r}", reader.line_no)
-    return parts[1] if len(parts) == 2 else ""
-
-
-def _floats(text: str, reader: _Reader) -> np.ndarray:
+def _floats(text: str, reader: _LineReader) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split()], dtype=np.float64)
     except ValueError:
         raise ParseError("expected a row of decimal floats", reader.line_no) from None
 
 
-def _read_array(reader: _Reader, tag: str, name: str) -> np.ndarray:
+def _read_array(reader: _LineReader, tag: str, name: str) -> np.ndarray:
     head = reader.next(f"'{tag} {name} ...'")
     parts = head.split()
     if len(parts) < 3 or parts[0] != tag or parts[1] != name:
@@ -122,28 +91,28 @@ def _read_array(reader: _Reader, tag: str, name: str) -> np.ndarray:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    reader = _Reader(path)
+    reader = _LineReader(path)
     if reader.next("header") != "checkpoint v1":
         raise ParseError("expected header 'checkpoint v1'", reader.line_no)
     try:
-        config = json.loads(_kv(reader, "config"))
+        config = json.loads(_expect_kv(reader, "config"))
     except json.JSONDecodeError:
         raise ParseError("config echo is not valid JSON", reader.line_no) from None
-    phase = _kv(reader, "phase")
+    phase = _expect_kv(reader, "phase")
     try:
-        epoch = int(_kv(reader, "epoch"))
-        best_dev_cer = float(_kv(reader, "best_dev_cer"))
-        seed = int(_kv(reader, "seed"))
-        adam_t = int(_kv(reader, "adam_t"))
-        decay = float(_kv(reader, "stats_decay"))
+        epoch = int(_expect_kv(reader, "epoch"))
+        best_dev_cer = float(_expect_kv(reader, "best_dev_cer"))
+        seed = int(_expect_kv(reader, "seed"))
+        adam_t = int(_expect_kv(reader, "adam_t"))
+        decay = float(_expect_kv(reader, "stats_decay"))
     except ValueError:
         raise ParseError("malformed numeric header field", reader.line_no) from None
-    mu = _floats(_kv(reader, "stats_mu", allow_empty=True), reader)
-    sigma = _floats(_kv(reader, "stats_sigma", allow_empty=True), reader)
+    mu = _floats(_expect_kv(reader, "stats_mu", allow_empty=True), reader)
+    sigma = _floats(_expect_kv(reader, "stats_sigma", allow_empty=True), reader)
     if mu.shape != sigma.shape:
         raise SchemaError("stats_mu and stats_sigma lengths differ")
     try:
-        n_params = int(_kv(reader, "params"))
+        n_params = int(_expect_kv(reader, "params"))
     except ValueError:
         raise ParseError("params count must be an integer", reader.line_no) from None
     params: dict[str, np.ndarray] = {}

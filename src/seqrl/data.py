@@ -1,5 +1,8 @@
 """Synthetic grapheme-to-frames corpus and line-delimited corpus files.
 
+The text-file layer here (line reader, ``key value`` parser, 17-digit float
+formatter, line writer) is shared with checkpoints and metrics files.
+
 Each grapheme owns a fixed random prototype feature vector; an utterance
 emits frames_per_symbol noisy copies of the prototype per transcript symbol.
 With zero noise the mapping is exactly invertible by nearest-prototype
@@ -204,7 +207,13 @@ def corpus_cer(pairs) -> float:
 
 
 def _f17(x: float) -> str:
+    """17 significant digits, which round-trip float64 exactly."""
     return f"{float(x):.17g}"
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
@@ -220,8 +229,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
         lines.append(f"utt {utt.uid} {utt.features.shape[0]} {words}")
         for row in utt.features:
             lines.append(" ".join(_f17(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 class _LineReader:
@@ -241,12 +249,13 @@ class _LineReader:
         return self.pos
 
 
-def _expect_kv(reader: _LineReader, key: str) -> str:
+def _expect_kv(reader: _LineReader, key: str, allow_empty: bool = False) -> str:
+    """Value of a ``key value`` line; with allow_empty a bare ``key`` gives ""."""
     line = reader.next(f"'{key} ...'")
     parts = line.split(maxsplit=1)
-    if len(parts) != 2 or parts[0] != key:
+    if parts[:1] != [key] or (len(parts) == 1 and not allow_empty):
         raise ParseError(f"expected '{key} ...', got {line!r}", reader.line_no)
-    return parts[1]
+    return parts[1] if len(parts) == 2 else ""
 
 
 def load_corpus(path: str) -> Corpus:

@@ -116,18 +116,6 @@ def init_params(config: ModelConfig, seed: int, scale: float = 0.08) -> dict[str
     return params
 
 
-def check_params(params: dict[str, Tensor], config: ModelConfig) -> None:
-    """Verify the name set and shapes against the config."""
-    expected = param_shapes(config)
-    missing = sorted(set(expected) - set(params))
-    extra = sorted(set(params) - set(expected))
-    if missing or extra:
-        raise ValueError(f"parameter names do not match config: missing={missing}, extra={extra}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise ValueError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
-
-
 @dataclass
 class EncoderStates:
     """Per-frame encoder states after subsampling, plus the raw frame count.
@@ -186,18 +174,6 @@ def encode(features, params: dict[str, Tensor], config: ModelConfig) -> EncoderS
             x = ad.gather_rows(x, range(0, steps, 2))
     mlp_proj = ad.matmul(x, params["att.mlp.w_enc"]) if config.scorer == "mlp" else None
     return EncoderStates(states=x, source_length=source_length, mlp_proj=mlp_proj)
-
-
-def attention_score(h_enc: Tensor, h_dec: Tensor, params: dict[str, Tensor],
-                    config: ModelConfig) -> Tensor:
-    """Relevance score of one encoder state for one decoder state (0-D)."""
-    if config.scorer == "dot":
-        return ad.matmul(h_enc, h_dec)
-    if config.scorer == "bilinear":
-        return ad.matmul(h_enc, ad.matmul(params["att.bilinear.w"], h_dec))
-    pre = ad.add(ad.matmul(h_enc, params["att.mlp.w_enc"]),
-                 ad.matmul(h_dec, params["att.mlp.w_dec"]))
-    return ad.matmul(ad.tanh(pre), params["att.mlp.v"])
 
 
 def attend(enc: EncoderStates, h_dec: Tensor, params: dict[str, Tensor],

@@ -247,10 +247,6 @@ def monte_carlo_global_gradient(task: TinyTask, num_batches: int,
     return MonteCarloStats(count=num_batches, mean=mean, stderr=stderr)
 
 
-def flatten_grads(grads: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([grads[name].reshape(-1) for name in sorted(grads)])
-
-
 def telescoping_mismatches(num_pairs: int = 1000, seed: int = 5,
                            num_symbols: int = 8, max_len: int = 20) -> int:
     """Count fuzzed pairs where summed step rewards miss |ref| - ED(hyp, ref).

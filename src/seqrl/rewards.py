@@ -130,34 +130,6 @@ def normalize_final(rewards) -> np.ndarray:
     return (vals - vals.mean()) / (vals.std() + EPS)
 
 
-@dataclass(frozen=True)
-class RewardTrace:
-    """Rewards and returns for one sampled hypothesis against its reference."""
-
-    step_rewards: tuple[int, ...]
-    returns: tuple[float, ...]
-    discount: float
-    normalized_returns: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.step_rewards) != len(self.returns):
-            raise ValueError("step_rewards and returns must have equal length")
-        if self.normalized_returns is not None and len(self.normalized_returns) != len(self.returns):
-            raise ValueError("normalized_returns length must match returns")
-
-
-def reward_trace(hyp_graphemes, ref, gamma: float) -> RewardTrace:
-    """Build the reward/return record for one hypothesis (eos excluded)."""
-    if len(hyp_graphemes) == 0:
-        return RewardTrace(step_rewards=(), returns=(), discount=float(gamma))
-    r = step_rewards(hyp_graphemes, ref)
-    return RewardTrace(
-        step_rewards=tuple(r),
-        returns=tuple(discounted_returns(r, gamma)),
-        discount=float(gamma),
-    )
-
-
 def total_reward(hyp_graphemes, ref) -> int:
     """Sum of step rewards; by telescoping, |ref| - edit_distance(hyp, ref)."""
     return len(list(ref)) - edit_distance(hyp_graphemes, ref)

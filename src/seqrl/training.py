@@ -1,9 +1,11 @@
 """Two-phase training: teacher-forced warmup, then reward-augmented updates.
 
-Both phases run shuffled mini-batches with Adam, log one metrics row per
-epoch, stop early when dev CER stops improving, and retain the best-dev
-checkpoint. All randomness derives from (seed, purpose tag, epoch, index)
-substreams, so runs are bitwise reproducible.
+Both phases run one epoch loop and differ only in their per-utterance loss.
+The loop runs shuffled mini-batches with Adam, fails fast on a non-finite
+loss or gradient, logs one metrics row per epoch, stops early when dev CER
+stops improving, and retains the best-dev checkpoint. All randomness derives
+from (seed, purpose tag, epoch, index) substreams, so runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, save_checkpoint, validate_checkpoint
-from .data import Corpus, corpus_cer
+from .data import Corpus, _f17, _write_lines, corpus_cer
 from .decoding import beam_search, greedy_decode, sample_sequences
 from .errors import ConfigError, SchemaError
-from .model import ModelConfig, check_params, encode, init_params, sequence_log_prob
+from .model import ModelConfig, encode, init_params, sequence_log_prob
 from .objectives import RlConfig, combined_loss, mle_loss, rl_surrogate
 from .rewards import MovingStats
 
@@ -151,12 +153,9 @@ class MetricsRow:
 
 
 def write_metrics(rows: list[MetricsRow], path: str) -> None:
-    lines = ["epoch,phase,train_loss,mean_reward,dev_cer"]
-    for r in rows:
-        lines.append(f"{r.epoch},{r.phase},{r.train_loss:.17g},"
-                     f"{r.mean_reward:.17g},{r.dev_cer:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["epoch,phase,train_loss,mean_reward,dev_cer"] + [
+        f"{r.epoch},{r.phase},{_f17(r.train_loss)},{_f17(r.mean_reward)},{_f17(r.dev_cer)}"
+        for r in rows])
 
 
 @dataclass
@@ -215,12 +214,7 @@ def _assert_finite(params: dict[str, Tensor], epoch: int) -> None:
             raise RuntimeError(f"parameter {name} became non-finite at epoch {epoch}")
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start:start + batch_size]
-
-
-def _finish_phase(result_rows, best, config, out_dir, phase, log):
+def _finish_phase(result_rows, best, out_dir, phase, log):
     metrics_path = ckpt_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -234,50 +228,88 @@ def _finish_phase(result_rows, best, config, out_dir, phase, log):
                        checkpoint_path=ckpt_path, metrics_path=metrics_path)
 
 
+def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
+               params: dict[str, Tensor], stats: MovingStats, max_epochs: int,
+               shuffle_tag: int, utterance_loss, out_dir: str | None, log,
+               baseline: bool = False) -> TrainResult:
+    """The epoch loop both phases share.
+
+    ``utterance_loss(utt, index, epoch)`` returns the utterance's scalar loss
+    and its per-sample total rewards (empty when the phase samples nothing).
+    With ``baseline`` the unchanged start is evaluated and logged as epoch 0
+    and is the best checkpoint until an epoch beats it.
+    """
+    adam = AdamState.new(params)
+    rows: list[MetricsRow] = []
+    best: Checkpoint | None = None
+    if baseline:
+        dev_cer = evaluate(dev, params, config.model, beam=config.eval_beam).cer
+        rows.append(MetricsRow(epoch=0, phase=phase, train_loss=float("nan"),
+                               mean_reward=float("nan"), dev_cer=dev_cer))
+        log(f"[{phase}] start: dev_cer {dev_cer:.4f}")
+        best = _snapshot(config, phase, 0, dev_cer, params, adam, stats)
+    stale = 0
+    for epoch in range(1, max_epochs + 1):
+        started = time.monotonic()
+        order = np.random.default_rng([config.seed, shuffle_tag, epoch]).permutation(len(train))
+        epoch_loss = reward_sum = 0.0
+        reward_count = 0
+        for start in range(0, len(order), config.batch_size):
+            chunk = order[start:start + config.batch_size]
+            for p in params.values():
+                p.zero_grad()
+            for idx in chunk:
+                utt = train.utterances[int(idx)]
+                loss, totals = utterance_loss(utt, int(idx), epoch)
+                ad.backward(loss)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise RuntimeError(f"[{phase}] loss became non-finite at epoch {epoch} "
+                                       f"on utterance {utt.uid}")
+                epoch_loss += value
+                reward_sum += float(sum(totals))
+                reward_count += len(totals)
+            grads = _grads_over(params, len(chunk))
+            for name, g in grads.items():
+                if not np.all(np.isfinite(g)):
+                    uids = [train.utterances[int(i)].uid for i in chunk]
+                    raise RuntimeError(f"[{phase}] gradient of {name} became non-finite at "
+                                       f"epoch {epoch} in the batch of {', '.join(uids)}")
+            adam_update(params, grads, adam, config.learning_rate)
+        _assert_finite(params, epoch)
+        dev_cer = evaluate(dev, params, config.model, beam=config.eval_beam).cer
+        train_loss = epoch_loss / len(train)
+        mean_reward = reward_sum / reward_count if reward_count else float("nan")
+        rows.append(MetricsRow(epoch=epoch, phase=phase, train_loss=train_loss,
+                               mean_reward=mean_reward, dev_cer=dev_cer))
+        reward_part = f"mean_reward {mean_reward:.3f} " if reward_count else ""
+        log(f"[{phase}] epoch {epoch}: loss {train_loss:.4f} {reward_part}"
+            f"dev_cer {dev_cer:.4f} ({time.monotonic() - started:.1f}s)")
+        if best is None or dev_cer < best.best_dev_cer:
+            best = _snapshot(config, phase, epoch, dev_cer, params, adam, stats)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return _finish_phase(rows, best, out_dir, phase, log)
+
+
 def train_mle(train: Corpus, dev: Corpus, config: TrainConfig,
               out_dir: str | None = None, log=lambda msg: None) -> TrainResult:
     """Teacher-forced training with greedy dev CER early stopping."""
     _check_corpus(train, config.model, "train")
     _check_corpus(dev, config.model, "dev")
     params = init_params(config.model, config.seed)
-    adam = AdamState.new(params)
-    stats = MovingStats()
     eos = config.model.eos_id
 
-    rows: list[MetricsRow] = []
-    best: Checkpoint | None = None
-    stale = 0
-    for epoch in range(1, config.mle_max_epochs + 1):
-        started = time.monotonic()
-        order = np.random.default_rng(
-            [config.seed, _TAG_SHUFFLE_MLE, epoch]).permutation(len(train))
-        epoch_loss = 0.0
-        for chunk in _batches(order, config.batch_size):
-            for p in params.values():
-                p.zero_grad()
-            for idx in chunk:
-                utt = train.utterances[int(idx)]
-                target = utt.transcript + (eos,)
-                _, per_step = sequence_log_prob(utt.features, target, params, config.model)
-                loss = mle_loss(per_step, target)
-                ad.backward(loss)
-                epoch_loss += loss.item()
-            adam_update(params, _grads_over(params, len(chunk)), adam, config.learning_rate)
-        _assert_finite(params, epoch)
-        dev_cer = evaluate(dev, params, config.model, beam=config.eval_beam).cer
-        rows.append(MetricsRow(epoch=epoch, phase="mle",
-                               train_loss=epoch_loss / len(train),
-                               mean_reward=float("nan"), dev_cer=dev_cer))
-        log(f"[mle] epoch {epoch}: loss {epoch_loss / len(train):.4f} "
-            f"dev_cer {dev_cer:.4f} ({time.monotonic() - started:.1f}s)")
-        if best is None or dev_cer < best.best_dev_cer:
-            best = _snapshot(config, "mle", epoch, dev_cer, params, adam, stats)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    return _finish_phase(rows, best, config, out_dir, "mle", log)
+    def utterance_loss(utt, idx, epoch):
+        target = utt.transcript + (eos,)
+        _, per_step = sequence_log_prob(utt.features, target, params, config.model)
+        return mle_loss(per_step, target), ()
+
+    return _run_phase("mle", train, dev, config, params, MovingStats(),
+                      config.mle_max_epochs, _TAG_SHUFFLE_MLE, utterance_loss, out_dir, log)
 
 
 def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
@@ -292,62 +324,21 @@ def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
     _check_corpus(dev, config.model, "dev")
     validate_checkpoint(start, config.model)
     params = _tensors_from_arrays(start.params)
-    check_params(params, config.model)
-    adam = AdamState.new(params)
     stats = MovingStats()
     rl_cfg = config.rl
     eos = config.model.eos_id
 
-    rows: list[MetricsRow] = []
-    baseline = evaluate(dev, params, config.model, beam=config.eval_beam).cer
-    rows.append(MetricsRow(epoch=0, phase="rl", train_loss=float("nan"),
-                           mean_reward=float("nan"), dev_cer=baseline))
-    log(f"[rl] start: dev_cer {baseline:.4f}")
-    best = _snapshot(config, "rl", 0, baseline, params, adam, stats)
-    stale = 0
-    for epoch in range(1, config.rl_max_epochs + 1):
-        started = time.monotonic()
-        order = np.random.default_rng(
-            [config.seed, _TAG_SHUFFLE_RL, epoch]).permutation(len(train))
-        epoch_loss = 0.0
-        reward_sum = 0.0
-        reward_count = 0
-        for chunk in _batches(order, config.batch_size):
-            for p in params.values():
-                p.zero_grad()
-            for idx in chunk:
-                utt = train.utterances[int(idx)]
-                target = utt.transcript + (eos,)
-                enc = encode(utt.features, params, config.model)
-                _, per_step = sequence_log_prob(utt.features, target, params, config.model,
-                                                enc=enc)
-                mle = mle_loss(per_step, target)
-                batch = sample_sequences(
-                    utt.features, params, config.model, rl_cfg.num_samples,
-                    None, np.random.SeedSequence(
-                        [config.seed, _TAG_SAMPLES, epoch, int(idx)]),
-                    utterance_index=int(idx), enc=enc)
-                surrogate, totals = rl_surrogate(batch, utt.transcript, rl_cfg, stats)
-                loss = combined_loss(mle, surrogate, rl_cfg.rl_weight)
-                ad.backward(loss)
-                epoch_loss += loss.item()
-                reward_sum += float(sum(totals))
-                reward_count += len(totals)
-            adam_update(params, _grads_over(params, len(chunk)), adam, config.learning_rate)
-        _assert_finite(params, epoch)
-        dev_cer = evaluate(dev, params, config.model, beam=config.eval_beam).cer
-        mean_reward = reward_sum / reward_count
-        rows.append(MetricsRow(epoch=epoch, phase="rl",
-                               train_loss=epoch_loss / len(train),
-                               mean_reward=mean_reward, dev_cer=dev_cer))
-        log(f"[rl] epoch {epoch}: loss {epoch_loss / len(train):.4f} "
-            f"mean_reward {mean_reward:.3f} dev_cer {dev_cer:.4f} "
-            f"({time.monotonic() - started:.1f}s)")
-        if dev_cer < best.best_dev_cer:
-            best = _snapshot(config, "rl", epoch, dev_cer, params, adam, stats)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    return _finish_phase(rows, best, config, out_dir, "rl", log)
+    def utterance_loss(utt, idx, epoch):
+        target = utt.transcript + (eos,)
+        enc = encode(utt.features, params, config.model)
+        _, per_step = sequence_log_prob(utt.features, target, params, config.model, enc=enc)
+        mle = mle_loss(per_step, target)
+        batch = sample_sequences(
+            utt.features, params, config.model, rl_cfg.num_samples, None,
+            np.random.SeedSequence([config.seed, _TAG_SAMPLES, epoch, idx]),
+            utterance_index=idx, enc=enc)
+        surrogate, totals = rl_surrogate(batch, utt.transcript, rl_cfg, stats)
+        return combined_loss(mle, surrogate, rl_cfg.rl_weight), totals
+
+    return _run_phase("rl", train, dev, config, params, stats, config.rl_max_epochs,
+                      _TAG_SHUFFLE_RL, utterance_loss, out_dir, log, baseline=True)

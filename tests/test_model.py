@@ -7,9 +7,20 @@ import pytest
 
 from seqrl import autodiff as ad
 from seqrl.errors import ConfigError
-from seqrl.model import (ModelConfig, attend, attention_score, count_params,
-                         decode_step, default_max_len, encode, init_params,
+from seqrl.model import (ModelConfig, attend, count_params, decode_step,
+                         default_max_len, encode, init_params,
                          initial_decoder_state, param_shapes, sequence_log_prob)
+
+
+def attention_score(h_enc, h_dec, params, config):
+    """Per-row reference scorer: one encoder state against one decoder state (0-D)."""
+    if config.scorer == "dot":
+        return ad.matmul(h_enc, h_dec)
+    if config.scorer == "bilinear":
+        return ad.matmul(h_enc, ad.matmul(params["att.bilinear.w"], h_dec))
+    pre = ad.add(ad.matmul(h_enc, params["att.mlp.w_enc"]),
+                 ad.matmul(h_dec, params["att.mlp.w_dec"]))
+    return ad.matmul(ad.tanh(pre), params["att.mlp.v"])
 
 
 def zero_params(config):

@@ -76,11 +76,6 @@ def test_telescoping_fuzz_quick():
     assert oracles.telescoping_mismatches(num_pairs=300, seed=5) == 0
 
 
-def test_flatten_grads_orders_by_name():
-    grads = {"b": np.array([[1.0, 2.0]]), "a": np.array([3.0])}
-    np.testing.assert_array_equal(oracles.flatten_grads(grads), [3.0, 1.0, 2.0])
-
-
 def test_mle_gradient_report_is_finite_and_small():
     task = oracles.make_tiny_task()
     report = oracles.mle_gradient_report(task.config, task.params, task.features,

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from seqrl.rewards import (MovingStats, discounted_returns, edit_distance,
                            normalize_final, normalize_timewise,
-                           prefix_edit_distances, reward_trace, step_rewards,
-                           total_reward)
+                           prefix_edit_distances, step_rewards, total_reward)
 
 
 def recursive_edit_distance(a: tuple, b: tuple) -> int:
@@ -161,10 +160,3 @@ def test_timewise_normalizes_before_updating():
     second = normalize_timewise([[5.0]], stats)
     # the second batch is normalized with already-moved statistics
     assert second[0][0] < first[0][0]
-
-
-def test_reward_trace_lengths_and_empty_hypothesis():
-    trace = reward_trace([1, 0], [1, 1], 0.9)
-    assert len(trace.step_rewards) == len(trace.returns) == 2
-    empty = reward_trace([], [1, 1], 0.9)
-    assert empty.step_rewards == () and empty.returns == ()

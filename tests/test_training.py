@@ -1,11 +1,13 @@
 """Optimizer behavior and the two training phases end to end."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from seqrl import autodiff as ad
+from seqrl import training
 from seqrl.checkpoint import load_checkpoint, validate_checkpoint
 from seqrl.data import Corpus, default_vocabulary, generate_corpus
 from seqrl.decoding import greedy_decode
@@ -198,3 +200,68 @@ def test_rl_rejects_mismatched_checkpoint(micro_corpus, mle_run):
     other = micro_train_config(model=ModelConfig(**dict(MICRO_MODEL, dec_hidden=8)))
     with pytest.raises(SchemaError, match="shape"):
         train_rl(train, dev, other, mle_result.checkpoint)
+
+
+def _batch_uids(train, config, tag, epoch=1):
+    order = np.random.default_rng([config.seed, tag, epoch]).permutation(len(train))
+    return [[train.utterances[int(i)].uid for i in order[k:k + config.batch_size]]
+            for k in range(0, len(train), config.batch_size)]
+
+
+def test_non_finite_gradient_names_parameter_and_batch(micro_corpus):
+    _, train, dev = micro_corpus
+    # the first Adam step blows the weights up; the second batch's gradients
+    # overflow, and the run must stop there instead of at the end of the epoch
+    config = micro_train_config(learning_rate=1e300)
+    second = _batch_uids(train, config, training._TAG_SHUFFLE_MLE)[1]
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match=r"\[mle\] gradient of \S+ became non-finite "
+                                              r"at epoch 1 in the batch of") as err:
+        train_mle(train, dev, config)
+    assert any(uid in str(err.value) for uid in second)
+
+
+def test_non_finite_loss_names_phase_epoch_and_utterance(mle_run, monkeypatch):
+    config, train, dev, mle_result = mle_run
+    real = training.combined_loss
+    monkeypatch.setattr(training, "combined_loss",
+                        lambda *args: ad.scale(real(*args), float("nan")))
+    first = _batch_uids(train, config, training._TAG_SHUFFLE_RL)[0][0]
+    with pytest.raises(RuntimeError, match=rf"^\[rl\] loss became non-finite at epoch 1 "
+                                           rf"on utterance {first}$"):
+        train_rl(train, dev, config, mle_result.checkpoint)
+
+
+def test_log_lines_of_both_phases(micro_corpus, tmp_path):
+    _, train, dev = micro_corpus
+    config = micro_train_config(mle_max_epochs=2, rl_max_epochs=2)
+    mle_log, rl_log = [], []
+    mle = train_mle(train, dev, config, out_dir=str(tmp_path), log=mle_log.append)
+    rl = train_rl(train, dev, config, mle.checkpoint, out_dir=str(tmp_path),
+                  log=rl_log.append)
+
+    def masked(lines):
+        return [re.sub(r"\(\d+\.\ds\)$", "(Ts)", line) for line in lines]
+
+    assert masked(mle_log) == [
+        f"[mle] epoch {r.epoch}: loss {r.train_loss:.4f} dev_cer {r.dev_cer:.4f} (Ts)"
+        for r in mle.metrics] + [
+        f"[mle] wrote {tmp_path}/mle_metrics.csv and {tmp_path}/mle_best.ckpt"]
+    assert masked(rl_log) == [f"[rl] start: dev_cer {rl.metrics[0].dev_cer:.4f}"] + [
+        f"[rl] epoch {r.epoch}: loss {r.train_loss:.4f} mean_reward {r.mean_reward:.3f} "
+        f"dev_cer {r.dev_cer:.4f} (Ts)" for r in rl.metrics[1:]] + [
+        f"[rl] wrote {tmp_path}/rl_metrics.csv and {tmp_path}/rl_best.ckpt"]
+    assert len(mle.metrics) == 2 and len(rl.metrics) == 3
+
+
+def test_rl_patience_returns_the_unchanged_start(mle_run):
+    _, train, dev, mle_result = mle_run
+    # a vanishing learning rate cannot improve on the epoch-0 baseline, so
+    # the run stops after one stale epoch and hands back the start's params
+    config = micro_train_config(learning_rate=1e-12, rl_max_epochs=5, patience=1)
+    result = train_rl(train, dev, config, mle_result.checkpoint)
+    assert [r.epoch for r in result.metrics] == [0, 1]
+    assert result.checkpoint.epoch == 0
+    assert result.best_dev_cer == result.metrics[0].dev_cer
+    for name, arr in mle_result.checkpoint.params.items():
+        np.testing.assert_array_equal(result.checkpoint.params[name], arr)
