@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,9 +159,10 @@ def backward(loss: Tensor) -> None:
         gouts = [np.zeros_like(o.data) if g is None else g for g, o in zip(gouts, n.outputs)]
         n.backward_fn(gouts, sink)
         n.done = True
-        # the closure holds the arrays saved for backward; a node and its
-        # outputs form a cycle, so drop them now rather than at the next GC
+        # the closure holds the arrays saved for backward, and a node and its
+        # outputs form a cycle; break both now rather than at the next GC
         n.backward_fn = None
+        n.outputs = ()
 
 
 # ---------------------------------------------------------------------------
@@ -350,46 +350,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make([a.data.reshape(shape)], [a], bwd)[0]
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one element of a 1-D tensor as a 0-D scalar."""
-    if a.data.ndim != 1:
-        raise ValueError(f"pick expects a 1-D tensor, got shape {a.shape}")
-    index = int(index)
-    if index < 0 or index >= a.shape[0]:
-        raise IndexError(f"pick index {index} out of range [0, {a.shape[0]})")
-
-    def bwd(gs, sink):
-        g = np.zeros_like(a.data)
-        g[index] = gs[0]
-        sink(a, g)
-
-    return _make([a.data[index].reshape(())], [a], bwd)[0]
-
-
-def add_n(parts: Sequence[Tensor]) -> Tensor:
-    """Sum equally shaped tensors left to right (deterministic fold order)."""
-    if not parts:
-        raise ValueError("add_n requires at least one tensor")
-    shape = parts[0].shape
-    for p in parts:
-        if p.shape != shape:
-            raise ValueError(f"add_n requires equal shapes, got {shape} and {p.shape}")
-    out = reduce(np.add, (p.data for p in parts))
-
-    def bwd(gs, sink):
-        for p in parts:
-            sink(p, gs[0])
-
-    return _make([np.array(out, dtype=np.float64, copy=True)], list(parts), bwd)[0]
-
-
 def sum_all(a: Tensor) -> Tensor:
-    """Sum all elements to a 0-D scalar."""
+    """Sum all elements to a 0-D scalar, left to right (numpy's sum is pairwise),
+    so a sum of step log-probs has the bits of a running total over them."""
+    total = np.add.accumulate(a.data.reshape(-1))[-1] if a.data.size else 0.0
 
     def bwd(gs, sink):
         sink(a, np.full_like(a.data, float(gs[0])))
 
-    return _make([np.asarray(a.data.sum())], [a], bwd)[0]
+    return _make([np.array(total, dtype=np.float64)], [a], bwd)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def _model_from_checkpoint(path: str) -> tuple[Checkpoint, ModelConfig, dict[str
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--corpus", "corpus_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--beam", default=5, show_default=True)
+@click.option("--beam", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               default=None, help="Write per-utterance results as CSV.")
 @_cli_errors
@@ -182,8 +182,8 @@ def evaluate_cmd(ckpt_path, corpus_path, beam, report_path):
 @click.option("--corpus", "corpus_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--uid", default=None, help="Utterance id (default: first utterance).")
-@click.option("--index", type=int, default=None, help="Utterance position instead of id.")
-@click.option("--beam", default=5, show_default=True)
+@click.option("--index", type=int, default=0, help="Utterance position instead of id.")
+@click.option("--beam", default=5, show_default=True, type=click.IntRange(min=1))
 @_cli_errors
 def decode_cmd(ckpt_path, corpus_path, uid, index, beam):
     """Decode one utterance and print its transcript."""
@@ -196,7 +196,9 @@ def decode_cmd(ckpt_path, corpus_path, uid, index, beam):
             raise ValueError(f"no utterance with id {uid!r} in {corpus_path}")
         utt = matches[0]
     else:
-        utt = corpus.utterances[index if index is not None else 0]
+        if not 0 <= index < len(corpus):
+            raise IndexError(f"utterance index {index} out of range [0, {len(corpus)})")
+        utt = corpus.utterances[index]
     if beam == 1:
         hyp = greedy_decode(utt.features, params, config)
     else:
@@ -210,11 +212,11 @@ def decode_cmd(ckpt_path, corpus_path, uid, index, beam):
 
 @main.command("oracle-check")
 @click.option("--seed", default=2024, show_default=True)
-@click.option("--pairs", default=1000, show_default=True,
+@click.option("--pairs", default=1000, show_default=True, type=click.IntRange(min=1),
               help="Fuzz pairs for the reward telescoping check.")
-@click.option("--mc-batches", default=2000, show_default=True,
+@click.option("--mc-batches", default=2000, show_default=True, type=click.IntRange(min=1),
               help="Sampled batches for the unbiasedness check.")
-@click.option("--mc-samples", default=4, show_default=True)
+@click.option("--mc-samples", default=4, show_default=True, type=click.IntRange(min=1))
 @_cli_errors
 def oracle_check(seed, pairs, mc_batches, mc_samples):
     """Run the independent numeric checks and print one verdict per check."""

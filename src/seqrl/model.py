@@ -215,13 +215,186 @@ def decode_step(prev_id: int, state: DecoderState, enc: EncoderStates,
     return log_probs, new_state
 
 
+def _gemv_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w as one vector-matrix product per row.
+
+    A single (R, K) @ (K, N) product would run as a GEMM whose last bits
+    depend on R; per-row products give each row exactly the bits of the
+    1-D product in ``decode_step``, whatever the number of rows.
+    """
+    return (rows[:, None, :] @ w)[:, 0]
+
+
+def _mat_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ row for every row, again one matrix-vector product per row."""
+    return (mat @ rows[:, :, None])[:, :, 0]
+
+
+def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
+             num_rows: int, choose) -> tuple[list[tuple], Tensor]:
+    """Decode ``num_rows`` sequences side by side as one taped operation.
+
+    ``choose(log_probs, rows, step)`` gets the (R, V) log-probs of the live
+    rows and their row ids and returns each row's next symbol id. A row
+    drops out once it emits eos. Every value equals, bit for bit, what a
+    loop over ``decode_step`` gives for that row alone.
+
+    Returns each row's plain ``(graphemes, step log-probs, truncated)``, eos
+    left out of the graphemes, and one 1-D tensor of every picked log-prob,
+    row after row. The tape records that tensor as one node with a
+    hand-written backward (BPTT over the cached per-step arrays).
+    """
+    hd, emb_dim, eos = config.dec_hidden, config.embed_dim, config.eos_id
+    embed = params["dec.embed.w"]
+    w_ih, w_hh, b = params["dec.lstm.w_ih"], params["dec.lstm.w_hh"], params["dec.lstm.b"]
+    w_out, b_out = params["dec.out.w"], params["dec.out.b"]
+    henc = enc.states.data
+    inputs = [embed, w_ih, w_hh, b, w_out, b_out, enc.states]
+    if config.scorer == "bilinear":
+        w_att = params["att.bilinear.w"]
+        inputs.append(w_att)
+    elif config.scorer == "mlp":
+        proj, w_dec, v = enc.mlp_proj, params["att.mlp.w_dec"], params["att.mlp.v"]
+        inputs += [proj, w_dec, v]
+
+    live = np.arange(num_rows)
+    prev = np.full(num_rows, config.sos_id)
+    h = np.zeros((num_rows, hd))
+    c = np.zeros((num_rows, hd))
+    ctx = np.zeros((num_rows, config.enc_out_dim))
+    row_ids, symbols, picked = [], [], []
+    cache = []
+    for step in range(max_len):
+        x = np.concatenate([embed.data[prev], ctx], axis=1)
+        pre = _gemv_rows(x, w_ih.data) + _gemv_rows(h, w_hh.data) + b.data
+        i, f, g, o = ad._lstm_gates(pre, hd)
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+
+        att = None  # the scorer's saved intermediate: W h (bilinear) or tanh(pre) (mlp)
+        if config.scorer == "dot":
+            scores = _mat_rows(henc, h_new)
+        elif config.scorer == "bilinear":
+            att = _mat_rows(w_att.data, h_new)
+            scores = _mat_rows(henc, att)
+        else:
+            att = np.tanh(proj.data + _gemv_rows(h_new, w_dec.data)[:, None, :])
+            scores = att @ v.data
+        e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+        align = e / e.sum(axis=1, keepdims=True)
+        ctx_new = _gemv_rows(align, henc)
+
+        hc = np.concatenate([h_new, ctx_new], axis=1)
+        logits = _gemv_rows(hc, w_out.data) + b_out.data
+        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+
+        y = np.asarray(choose(log_probs, live, step), dtype=np.int64)
+        cache.append((live, prev, x, h, c, i, f, g, o, tc, h_new, att, align, hc,
+                      log_probs, y))
+        row_ids.extend(live.tolist())
+        symbols.extend(y.tolist())
+        picked.extend(log_probs[np.arange(live.shape[0]), y])
+        keep = y != eos
+        if not keep.any():
+            break
+        live, prev, h, c, ctx = live[keep], y[keep], h_new[keep], c_new[keep], ctx_new[keep]
+
+    # the lists above run step by step; the output runs row by row
+    row_ids = np.array(row_ids, dtype=np.int64)
+    order = np.argsort(row_ids, kind="stable")
+    out = np.array(picked, dtype=np.float64)[order]
+    symbols = np.array(symbols, dtype=np.int64)[order].tolist()
+
+    def bwd(gs, sink):
+        g_all = np.empty_like(gs[0])
+        g_all[order] = gs[0]
+        dh = np.zeros((num_rows, hd))
+        dc = np.zeros((num_rows, hd))
+        dctx = np.zeros((num_rows, config.enc_out_dim))
+        d_henc = np.zeros_like(henc)
+        d_embed = np.zeros_like(embed.data)
+        if config.scorer == "bilinear":
+            d_w_att = np.zeros_like(w_att.data)
+        elif config.scorer == "mlp":
+            d_proj, d_w_dec, d_v = (np.zeros_like(t.data) for t in (proj, w_dec, v))
+        xs, hs, das, hcs, dzs = [], [], [], [], []
+        end = len(g_all)
+        for (rows, prev_ids, x, h_prev, c_prev, i, f, g, o, tc, h_new, att, align,
+             hc, log_probs, y) in reversed(cache):
+            n = rows.shape[0]
+            gl = g_all[end - n:end]
+            end -= n
+            # log-softmax of the picked entries, then the output layer
+            dz = np.exp(log_probs) * -gl[:, None]
+            dz[np.arange(n), y] += gl
+            hcs.append(hc)
+            dzs.append(dz)
+            dhc = dz @ w_out.data.T
+            dh_t = dhc[:, :hd] + dh[rows]
+            dctx_t = dhc[:, hd:] + dctx[rows]
+            # context = align @ henc, align = softmax(scores)
+            d_align = dctx_t @ henc.T
+            d_henc += align.T @ dctx_t
+            ds = align * (d_align - np.sum(align * d_align, axis=1, keepdims=True))
+            if config.scorer == "dot":
+                dh_t += ds @ henc
+                d_henc += ds.T @ h_new
+            elif config.scorer == "bilinear":
+                du = ds @ henc
+                d_henc += ds.T @ att
+                d_w_att += du.T @ h_new
+                dh_t += du @ w_att.data
+            else:
+                d_v += np.einsum("rs,rsa->a", ds, att)
+                d_pre = ds[:, :, None] * v.data * (1.0 - att * att)
+                d_proj += d_pre.sum(axis=0)
+                dq = d_pre.sum(axis=1)
+                d_w_dec += h_new.T @ dq
+                dh_t += dq @ w_dec.data.T
+            da, dc_t = ad._lstm_grads(dh_t, dc[rows], c_prev, i, f, g, o, tc)
+            xs.append(x)
+            hs.append(h_prev)
+            das.append(da)
+            dx = da @ w_ih.data.T
+            np.add.at(d_embed, prev_ids, dx[:, :emb_dim])
+            dctx[rows] = dx[:, emb_dim:]
+            dh[rows] = da @ w_hh.data.T
+            dc[rows] = dc_t * f
+        da_all = np.concatenate(das)
+        dz_all = np.concatenate(dzs)
+        sink(embed, d_embed)
+        sink(w_ih, np.concatenate(xs).T @ da_all)
+        sink(w_hh, np.concatenate(hs).T @ da_all)
+        sink(b, da_all.sum(axis=0))
+        sink(w_out, np.concatenate(hcs).T @ dz_all)
+        sink(b_out, dz_all.sum(axis=0))
+        sink(enc.states, d_henc)
+        if config.scorer == "bilinear":
+            sink(w_att, d_w_att)
+        elif config.scorer == "mlp":
+            sink(proj, d_proj)
+            sink(w_dec, d_w_dec)
+            sink(v, d_v)
+
+    results, end = [], 0
+    for n in np.bincount(row_ids, minlength=num_rows).tolist():
+        seq, lps = symbols[end:end + n], tuple(out[end:end + n].tolist())
+        truncated = seq[-1:] != [eos]
+        results.append((tuple(seq if truncated else seq[:-1]), lps, truncated))
+        end += n
+    return results, ad._make([out], inputs, bwd)[0]
+
+
 def sequence_log_prob(features, transcript, params: dict[str, Tensor],
                       config: ModelConfig,
-                      enc: EncoderStates | None = None) -> tuple[Tensor, list[Tensor]]:
+                      enc: EncoderStates | None = None) -> tuple[Tensor, Tensor]:
     """Teacher-forced log P(transcript | features).
 
-    The transcript must end with eos. Returns the total (0-D tensor) and the
-    per-step picked log-probs, whose values sum to the total. A caller that
+    The transcript must end with eos; the decoder is forced through it as
+    one row of the fused rollout. Returns the total (0-D tensor, summed left
+    to right) and the 1-D tensor of per-step picked log-probs. A caller that
     already encoded ``features`` passes the result as ``enc``.
     """
     transcript = [int(y) for y in transcript]
@@ -232,14 +405,9 @@ def sequence_log_prob(features, transcript, params: dict[str, Tensor],
             raise IndexError(f"transcript symbol id {y} out of range [0, {config.eos_id})")
     if enc is None:
         enc = encode(features, params, config)
-    state = initial_decoder_state(config)
-    prev = config.sos_id
-    per_step: list[Tensor] = []
-    for y in transcript:
-        log_probs, state = decode_step(prev, state, enc, params, config)
-        per_step.append(ad.pick(log_probs, y))
-        prev = y
-    return ad.add_n(per_step), per_step
+    _, per_step = _rollout(enc, params, config, len(transcript), 1,
+                           lambda _lp, _rows, step: [transcript[step]])
+    return ad.sum_all(per_step), per_step
 
 
 def default_max_len(source_length: int, config: ModelConfig) -> int:

@@ -1,15 +1,18 @@
 """Training objectives: teacher-forced likelihood and REINFORCE surrogates.
 
 Both policy-gradient estimators are built as surrogate scalars whose backward
-pass produces the estimator: reward coefficients enter as plain constants, so
-no gradient ever flows through them. The time-distributed variant weights
-each step's log-prob by its normalized discounted return; the final-reward
-variant weights whole-sequence log-probs by the normalized total reward.
+pass produces the estimator: one dot product of the sampled log-probs with a
+constant coefficient vector, so no gradient ever flows through the rewards.
+The time-distributed variant weights each step's log-prob by its normalized
+discounted return; the final-reward variant weights every step of a sample by
+that sample's normalized total reward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -58,20 +61,20 @@ class RlConfig:
             raise ConfigError(f"rl_weight must be non-negative, got {self.rl_weight}")
 
 
-def mle_loss(per_step_log_probs: list[Tensor], transcript) -> Tensor:
-    """Negative sum of teacher-forced per-step log-probs (eos included)."""
+def mle_loss(step_log_probs: Tensor, transcript) -> Tensor:
+    """Negative sum of the teacher-forced step log-prob vector (eos included)."""
     transcript = list(transcript)
-    if len(per_step_log_probs) != len(transcript):
-        raise ValueError(
-            f"got {len(per_step_log_probs)} log-probs for a transcript of "
-            f"length {len(transcript)}")
-    return ad.scale(ad.add_n(per_step_log_probs), -1.0)
+    if step_log_probs.shape != (len(transcript),):
+        raise ValueError(f"got log-probs of shape {step_log_probs.shape} for a "
+                         f"transcript of length {len(transcript)}")
+    return ad.scale(ad.sum_all(step_log_probs), -1.0)
 
 
-def _check_differentiable(batch: SampleBatch) -> None:
-    for hyp in batch.samples:
-        if hyp.lp_nodes is None or len(hyp.lp_nodes) != len(hyp.step_log_probs):
-            raise ValueError("sample batch was decoded without gradient recording")
+def _weighted_sum(batch: SampleBatch, coeffs) -> Tensor:
+    """(1/M) sum over the sampled steps of coefficient times log-prob, as one
+    dot product; ``coeffs`` holds one sequence per sample, one entry per step."""
+    weights = ad.constant(np.concatenate([np.asarray(c, dtype=np.float64) for c in coeffs]))
+    return ad.scale(ad.matmul(batch.log_probs, weights), 1.0 / len(batch.samples))
 
 
 def reinforce_time_gradient(batch: SampleBatch, ref, gamma: float,
@@ -84,7 +87,8 @@ def reinforce_time_gradient(batch: SampleBatch, ref, gamma: float,
     learning signal. Returns the surrogate and each sample's total reward.
     ``stats`` is EMA-updated in place when normalizing.
     """
-    _check_differentiable(batch)
+    if batch.log_probs.node is None:
+        raise ValueError("sample batch was decoded without gradient recording")
     ref = list(ref)
     raw_returns: list[list[float]] = []
     totals: list[int] = []
@@ -96,21 +100,15 @@ def reinforce_time_gradient(batch: SampleBatch, ref, gamma: float,
         else:
             returns = []
             totals.append(total_reward((), ref))
-        if not hyp.truncated:
-            returns = list(returns) + [0.0]  # coefficient slot for the eos step
-        raw_returns.append(list(returns))
+        # the eos step has a coefficient slot of its own
+        raw_returns.append(returns + ([] if hyp.truncated else [0.0]))
     if normalize:
         if stats is None:
             raise ValueError("timewise normalization requires MovingStats")
         coeffs = normalize_timewise(raw_returns, stats)
     else:
         coeffs = raw_returns
-    terms: list[Tensor] = []
-    for hyp, cs in zip(batch.samples, coeffs):
-        for node, c in zip(hyp.lp_nodes, cs):
-            terms.append(ad.scale(node, float(c)))
-    surrogate = ad.scale(ad.add_n(terms), 1.0 / len(batch.samples))
-    return surrogate, totals
+    return _weighted_sum(batch, coeffs), totals
 
 
 def reinforce_final_gradient(batch: SampleBatch, ref,
@@ -120,7 +118,8 @@ def reinforce_final_gradient(batch: SampleBatch, ref,
     The total reward telescopes to |ref| - edit_distance(y_m, ref) and is
     normalized across the M samples. Returns the surrogate and the raw totals.
     """
-    _check_differentiable(batch)
+    if batch.log_probs.node is None:
+        raise ValueError("sample batch was decoded without gradient recording")
     ref = list(ref)
     totals = [total_reward(hyp.graphemes, ref) for hyp in batch.samples]
     if normalize:
@@ -129,10 +128,8 @@ def reinforce_final_gradient(batch: SampleBatch, ref,
         coeffs = normalize_final(totals)
     else:
         coeffs = [float(t) for t in totals]
-    terms = [ad.scale(ad.add_n(list(hyp.lp_nodes)), float(c))
-             for hyp, c in zip(batch.samples, coeffs)]
-    surrogate = ad.scale(ad.add_n(terms), 1.0 / len(batch.samples))
-    return surrogate, totals
+    return _weighted_sum(batch, [[c] * len(hyp.step_log_probs)
+                                 for hyp, c in zip(batch.samples, coeffs)]), totals
 
 
 def rl_surrogate(batch: SampleBatch, ref, rl_config: RlConfig,

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .decoding import SampleBatch, forced_decode, sample_sequences
-from .model import ModelConfig, encode, init_params, sequence_log_prob
+from .model import ModelConfig, init_params, sequence_log_prob
 from .objectives import mle_loss, reinforce_final_gradient, reinforce_time_gradient
 from .rewards import edit_distance, step_rewards
 
@@ -180,10 +180,11 @@ def expected_estimator_gradient(task: TinyTask, mode: str,
     _zero_grads(params)
     total_prob = 0.0
     for graphemes, terminated in enumerate_emissions(num_graphemes, task.max_len):
-        hyp = forced_decode(task.features, params, config, graphemes, terminated=terminated)
+        hyp, log_probs = forced_decode(task.features, params, config, graphemes, terminated)
         prob = float(np.exp(hyp.total_log_prob))
         total_prob += prob
-        batch = SampleBatch(utterance_index=0, samples=(hyp,), seeds=((0,),))
+        batch = SampleBatch(utterance_index=0, samples=(hyp,), seeds=((0,),),
+                            log_probs=log_probs)
         if mode == "time_reward":
             surrogate, _ = reinforce_time_gradient(batch, task.reference, gamma,
                                                    stats=None, normalize=False)

@@ -174,11 +174,11 @@ def test_search_strategies_are_mutually_consistent(verdict):
         feats = np.random.default_rng([seed, 29]).normal(size=(3, 3))
         enc = encode(feats, params, small)
         candidates = [forced_decode(feats, params, small, combo, terminated=True,
-                                    enc=enc)
+                                    enc=enc)[0]
                       for length in range(3)
                       for combo in itertools.product(range(2), repeat=length)]
         candidates += [forced_decode(feats, params, small, combo, terminated=False,
-                                     enc=enc)
+                                     enc=enc)[0]
                        for combo in itertools.product(range(2), repeat=3)]
         best = sorted(candidates, key=lambda h: (-h.normalized_score, h.graphemes))[0]
         if beam_search(feats, params, small, beam=32, max_len=3).graphemes \

@@ -167,16 +167,6 @@ def test_concat_rejects_rank_mismatch():
         ad.concat([ad.tensor(np.zeros(2)), ad.tensor(np.zeros((2, 2)))])
 
 
-def test_pick_and_add_n():
-    v = ad.parameter(np.array([1.0, 4.0, 9.0]))
-    assert ad.pick(v, 2).item() == 9.0
-    with pytest.raises(IndexError):
-        ad.pick(v, 3)
-    total = ad.add_n([ad.pick(v, i) for i in range(3)])
-    ad.backward(total)
-    np.testing.assert_array_equal(v.grad, [1.0, 1.0, 1.0])
-
-
 def test_scale_is_constant_coefficient():
     v = ad.parameter(np.array([2.0, 3.0]))
     ad.backward(ad.sum_all(ad.scale(v, -2.5)))
@@ -291,7 +281,7 @@ def test_backward_frees_saved_arrays_without_gc():
     assert saved
     refs = [weakref.ref(arr) for arr in saved]
     del saved
-    loss = ad.pick(out, 1)
+    loss = ad.sum_all(out)
     was_enabled = gc.isenabled()
     gc.disable()
     try:

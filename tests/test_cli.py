@@ -175,6 +175,34 @@ def test_decode_single_utterance(workspace):
     assert out_of_range.exit_code == 4
 
 
+def test_decode_rejects_index_outside_the_corpus(workspace):
+    root, runner, _ = workspace
+    args = ["decode", "--checkpoint", str(root / "run1" / "mle_best.ckpt"),
+            "--corpus", str(root / "toy.dev"), "--beam", "1"]
+    last = run_ok(runner, args + ["--index", "1"])
+    second = load_corpus(str(root / "toy.dev")).utterances[1]
+    assert last.output.splitlines()[0] == f"uid {second.uid}"
+    for index in ("-1", "2"):
+        result = runner.invoke(main, args + ["--index", index])
+        assert result.exit_code == 4, index
+        assert "error (contract)" in result.stderr
+        assert "out of range [0, 2)" in result.stderr
+
+
+@pytest.mark.parametrize("command,option", [
+    ("evaluate", "--beam"), ("decode", "--beam"), ("oracle-check", "--pairs"),
+    ("oracle-check", "--mc-batches"), ("oracle-check", "--mc-samples")])
+def test_count_options_must_be_positive(workspace, command, option):
+    root, runner, _ = workspace
+    args = [command]
+    if command != "oracle-check":
+        args += ["--checkpoint", str(root / "run1" / "mle_best.ckpt"),
+                 "--corpus", str(root / "toy.dev")]
+    result = runner.invoke(main, args + [option, "0"])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.stderr
+
+
 def test_config_file_errors(workspace, tmp_path):
     root, runner, _ = workspace
     base = ["train-mle", "--train", str(root / "toy.train"),

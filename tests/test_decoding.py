@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from seqrl import autodiff as ad
-from seqrl.decoding import (Hypothesis, SampleBatch, _rollout, beam_search, forced_decode,
-                            greedy_decode, sample_sequences)
-from seqrl.model import (ModelConfig, decode_step, encode, init_params,
-                         initial_decoder_state, param_shapes, sequence_log_prob)
+from seqrl.decoding import (SampleBatch, beam_search, forced_decode, greedy_decode,
+                            sample_sequences)
+from seqrl.model import (ModelConfig, _rollout, decode_step, encode, init_params,
+                         initial_decoder_state, sequence_log_prob)
 from seqrl.oracles import finite_difference, l2_rel_error
 
 from test_model import zero_params
@@ -50,7 +50,11 @@ def test_sampling_validates_arguments(tiny_model):
     with pytest.raises(ValueError, match="max_len"):
         sample_sequences(feats, params, config, num_samples=1, max_len=0, rng=0)
     with pytest.raises(ValueError):
-        SampleBatch(utterance_index=0, samples=(), seeds=())
+        SampleBatch(utterance_index=0, samples=(), seeds=(), log_probs=ad.constant(np.zeros(0)))
+    batch = sample_sequences(feats, params, config, num_samples=2, max_len=4, rng=0)
+    with pytest.raises(ValueError, match="log_probs"):
+        SampleBatch(utterance_index=0, samples=batch.samples, seeds=batch.seeds,
+                    log_probs=ad.constant(batch.log_probs.data[1:]))
 
 
 def test_hypothesis_bookkeeping_invariants(tiny_model):
@@ -116,18 +120,19 @@ def test_sampling_matches_prescribed_first_step_distribution():
 def test_forced_decode_matches_training_scorer(tiny_model):
     config, params = tiny_model
     feats = random_feats(5)
-    hyp = forced_decode(feats, params, config, [0, 2], terminated=True)
+    hyp, log_probs = forced_decode(feats, params, config, [0, 2], terminated=True)
     total, per_step = sequence_log_prob(feats, [0, 2, config.eos_id], params, config)
     assert hyp.graphemes == (0, 2)
     assert not hyp.truncated
-    assert hyp.step_log_probs == tuple(s.item() for s in per_step)
+    assert hyp.step_log_probs == tuple(per_step.data.tolist())
+    assert hyp.step_log_probs == tuple(log_probs.data.tolist())
     assert hyp.total_log_prob == total.item()
 
 
 def test_forced_decode_truncated_form(tiny_model):
     config, params = tiny_model
     feats = random_feats(6)
-    hyp = forced_decode(feats, params, config, [1, 1, 0], terminated=False)
+    hyp, _ = forced_decode(feats, params, config, [1, 1, 0], terminated=False)
     assert hyp.truncated
     assert len(hyp.step_log_probs) == 3
     with pytest.raises(ValueError, match="emission"):
@@ -142,21 +147,33 @@ def test_forced_decode_rejects_bad_symbol_ids(tiny_model):
             forced_decode(feats, params, config, [0, bad], terminated=True)
 
 
+def test_forced_decode_rejects_eos_among_graphemes(tiny_model):
+    # eos ends a sequence; as a grapheme it would score a shorter one
+    config, params = tiny_model
+    feats = random_feats(6)
+    for terminated in (True, False):
+        with pytest.raises(IndexError, match="out of range"):
+            forced_decode(feats, params, config, [0, config.eos_id, 1],
+                          terminated=terminated)
+
+
 def test_sampled_log_probs_stay_differentiable(tiny_model):
     config, params = tiny_model
     feats = random_feats(7)
     batch = sample_sequences(feats, params, config, num_samples=2, max_len=4, rng=3)
-    hyp = batch.samples[0]
-    assert hyp.lp_nodes is not None
-    assert all(node.node is not None for node in hyp.lp_nodes)
-    ad.backward(ad.add_n(list(hyp.lp_nodes)))
+    steps = [lp for hyp in batch.samples for lp in hyp.step_log_probs]
+    assert batch.log_probs.data.tolist() == steps
+    assert batch.log_probs.node is not None
+    ad.backward(ad.sum_all(batch.log_probs))
     assert any(np.any(p.grad != 0) for p in params.values())
 
 
 def test_greedy_runs_without_recording(tiny_model):
+    # every recorded node draws one number from the tape's creation counter
     config, params = tiny_model
-    hyp = greedy_decode(random_feats(8), params, config)
-    assert all(node.node is None for node in hyp.lp_nodes)
+    before = next(ad._COUNTER)
+    greedy_decode(random_feats(8), params, config)
+    assert next(ad._COUNTER) == before + 1
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -191,10 +208,10 @@ def test_exhaustive_search_agrees_with_wide_beam():
     for length in range(max_len):
         for combo in itertools.product(range(config.eos_id), repeat=length):
             candidates.append(forced_decode(feats, params, config, combo,
-                                            terminated=True, enc=enc))
+                                            terminated=True, enc=enc)[0])
     for combo in itertools.product(range(config.eos_id), repeat=max_len):
         candidates.append(forced_decode(feats, params, config, combo,
-                                        terminated=False, enc=enc))
+                                        terminated=False, enc=enc)[0])
     best = sorted(candidates, key=lambda h: (-h.normalized_score, h.graphemes))[0]
     # a beam wider than the whole expansion pool is an exhaustive search
     found = beam_search(feats, params, config, beam=32, max_len=max_len)
@@ -248,7 +265,7 @@ def test_rollouts_match_decode_step_bitwise(scorer):
         symbols = greedy.graphemes + (() if greedy.truncated else (eos,))
         assert greedy.step_log_probs == stepwise_log_probs(feats, symbols, params, config)
         for graphemes, terminated in (((0, 2, 1), True), ((1, 1), False), ((), True)):
-            forced = forced_decode(feats, params, config, graphemes, terminated=terminated)
+            forced, _ = forced_decode(feats, params, config, graphemes, terminated=terminated)
             symbols = graphemes + ((eos,) if terminated else ())
             assert forced.step_log_probs == stepwise_log_probs(feats, symbols, params, config)
 
@@ -284,11 +301,11 @@ def test_rollout_gradient_matches_finite_differences(scorer):
 
     def objective():
         enc = encode(feats, params, config)
-        hyps = _rollout(enc, params, config, max_len, len(rows), choose)
-        assert [h.truncated for h in hyps] == [False, False, False, True, False]
-        terms = [ad.scale(node, float(coeffs[r, t]))
-                 for r, hyp in enumerate(hyps) for t, node in enumerate(hyp.lp_nodes)]
-        return ad.add_n(terms)
+        out, log_probs = _rollout(enc, params, config, max_len, len(rows), choose)
+        assert [truncated for _, _, truncated in out] == [False, False, False, True, False]
+        weights = [coeffs[r, t] for r, (_, steps, _) in enumerate(out)
+                   for t in range(len(steps))]
+        return ad.matmul(log_probs, ad.constant(weights))
 
     for p in params.values():
         p.zero_grad()

@@ -227,8 +227,8 @@ def test_sequence_log_prob_sums_per_step(tiny_model):
     feats = np.random.default_rng(10).normal(size=(5, config.feature_dim))
     transcript = [0, 2, 1, config.eos_id]
     total, per_step = sequence_log_prob(feats, transcript, params, config)
-    assert len(per_step) == 4
-    assert total.item() == sum(s.item() for s in per_step)
+    assert per_step.shape == (4,)
+    assert total.item() == sum(per_step.data.tolist())
     assert total.item() < 0.0
 
 

@@ -6,13 +6,13 @@ import pytest
 from seqrl import autodiff as ad
 from seqrl.decoding import Hypothesis, SampleBatch, forced_decode, sample_sequences
 from seqrl.errors import ConfigError
-from seqrl.model import init_params, sequence_log_prob
+from seqrl.model import encode, sequence_log_prob
 from seqrl.objectives import (RlConfig, combined_loss, mle_loss,
                               reinforce_final_gradient, reinforce_time_gradient,
                               rl_surrogate)
 from seqrl.rewards import MovingStats, discounted_returns, step_rewards
 
-from test_decoding import random_feats, small_config
+from test_decoding import random_feats
 
 
 def grads_snapshot(params):
@@ -25,10 +25,11 @@ def zero_grads(params):
 
 
 def forced_batch(feats, params, config, combos, terminated=True):
-    hyps = tuple(forced_decode(feats, params, config, c, terminated=terminated)
-                 for c in combos)
-    return SampleBatch(utterance_index=0, samples=hyps,
-                       seeds=tuple((m,) for m in range(len(hyps))))
+    forced = [forced_decode(feats, params, config, c, terminated=terminated)
+              for c in combos]
+    return SampleBatch(utterance_index=0, samples=tuple(hyp for hyp, _ in forced),
+                       seeds=tuple((m,) for m in range(len(forced))),
+                       log_probs=ad.concat([log_probs for _, log_probs in forced]))
 
 
 def test_rl_config_validation():
@@ -83,12 +84,32 @@ def test_mle_loss_gradient_negates_log_prob_gradient(tiny_model):
 
 def test_unrecorded_batch_is_rejected():
     hyp = Hypothesis(graphemes=(0,), step_log_probs=(-1.0, -0.5),
-                     total_log_prob=-1.5, normalized_score=-0.75, lp_nodes=None)
-    batch = SampleBatch(utterance_index=0, samples=(hyp,), seeds=((0,),))
+                     total_log_prob=-1.5, normalized_score=-0.75)
+    batch = SampleBatch(utterance_index=0, samples=(hyp,), seeds=((0,),),
+                        log_probs=ad.constant([-1.0, -0.5]))
     with pytest.raises(ValueError, match="gradient recording"):
         reinforce_time_gradient(batch, [0, 1], 0.9, MovingStats())
     with pytest.raises(ValueError, match="gradient recording"):
         reinforce_final_gradient(batch, [0, 1])
+
+
+def test_batch_sampled_without_recording_is_rejected_before_stats_change(tiny_model):
+    config, params = tiny_model
+    feats = random_feats(31)
+    stats = MovingStats()
+    recorded = sample_sequences(feats, params, config, num_samples=3, max_len=4, rng=5)
+    reinforce_time_gradient(recorded, [0, 1], 0.9, stats, normalize=True)
+    mu, sigma = stats.mu.copy(), stats.sigma.copy()
+    with ad.no_grad():
+        batch = sample_sequences(feats, params, config, num_samples=3, max_len=4, rng=5)
+    assert batch.samples == recorded.samples
+    for rl_config in (RlConfig(num_samples=3),
+                      RlConfig(mode="final_reward", normalization="across_samples",
+                               num_samples=3)):
+        with pytest.raises(ValueError, match="gradient recording"):
+            rl_surrogate(batch, [0, 1], rl_config, stats)
+    np.testing.assert_array_equal(stats.mu, mu)
+    np.testing.assert_array_equal(stats.sigma, sigma)
 
 
 def test_time_surrogate_weights_steps_by_returns(tiny_model):
@@ -131,7 +152,7 @@ def test_final_surrogate_single_sample_scales_log_prob(tiny_model):
     g_rl = grads_snapshot(params)
     zero_grads(params)
     repeat = forced_batch(feats, params, config, [(1, 0, 2)])
-    ad.backward(ad.add_n(list(repeat.samples[0].lp_nodes)))
+    ad.backward(ad.sum_all(repeat.log_probs))
     g_lp = grads_snapshot(params)
     for name in g_rl:
         np.testing.assert_allclose(g_rl[name], reward * g_lp[name],
@@ -217,3 +238,44 @@ def test_combined_loss_direction(tiny_model):
     a = combined_loss(mle, surrogate, 0.0).item()
     b = combined_loss(mle, surrogate, 2.0).item()
     assert b == pytest.approx(a - 2.0 * surrogate.item(), rel=1e-12)
+
+
+def tape_size(loss):
+    """Nodes reachable from a loss: the graph backward replays."""
+    seen = set()
+    stack = [loss.node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(t.node for t in node.inputs if t.node is not None)
+    return len(seen)
+
+
+def test_teacher_forced_tape_does_not_grow_with_the_transcript(tiny_model):
+    config, params = tiny_model
+    feats = random_feats(32)
+    sizes = []
+    for graphemes in ([1], [0, 2, 1, 1, 0, 2, 2, 0, 1, 0, 2]):
+        transcript = graphemes + [config.eos_id]
+        _, per_step = sequence_log_prob(feats, transcript, params, config)
+        sizes.append(tape_size(mle_loss(per_step, transcript)))
+    assert sizes[0] == sizes[1]
+
+
+def test_rl_tape_does_not_grow_with_the_sample_count(tiny_model):
+    # the utterance loss of reward training: one encoder pass feeds the
+    # teacher-forced term and the sampled surrogate
+    config, params = tiny_model
+    feats = random_feats(33)
+    transcript = [0, 2, 1, config.eos_id]
+    sizes = []
+    for num_samples in (1, 15):
+        rl_config = RlConfig(num_samples=num_samples)
+        enc = encode(feats, params, config)
+        _, per_step = sequence_log_prob(feats, transcript, params, config, enc=enc)
+        batch = sample_sequences(feats, params, config, num_samples, None, rng=4, enc=enc)
+        surrogate, _ = rl_surrogate(batch, transcript[:-1], rl_config, MovingStats())
+        loss = combined_loss(mle_loss(per_step, transcript), surrogate, rl_config.rl_weight)
+        sizes.append(tape_size(loss))
+    assert sizes[0] == sizes[1]
