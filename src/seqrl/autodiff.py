@@ -184,17 +184,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make([a.data + b.data], [a, b], bwd)[0]
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_equal_shapes(a, b, "mul")
-    ad, bd = a.data, b.data
-
-    def bwd(gs, sink):
-        sink(a, gs[0] * bd)
-        sink(b, gs[0] * ad)
-
-    return _make([ad * bd], [a, b], bwd)[0]
-
-
 def add_row(mat: Tensor, row: Tensor) -> Tensor:
     """Add a 1-D row vector to every row of a 2-D matrix (explicit broadcast)."""
     if mat.data.ndim != 2 or row.data.ndim != 1 or mat.shape[1] != row.shape[0]:
@@ -248,16 +237,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def bwd(gs, sink):
         sink(a, gs[0] * (1.0 - out * out))
-
-    return _make([out], [a], bwd)[0]
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # 0.5 * (1 + tanh(x / 2)) is overflow-free for any finite input
-    out = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-
-    def bwd(gs, sink):
-        sink(a, gs[0] * out * (1.0 - out))
 
     return _make([out], [a], bwd)[0]
 

@@ -4,7 +4,8 @@ Generation stops when eos is emitted or when max_len symbols have been
 produced without it (recorded as truncated). Hypothesis scores are length
 normalized: total log-prob divided by the grapheme count plus one, counting
 the eos step. Sampling, greedy decoding and forced scoring run as rows of
-the model's fused rollout.
+the model's fused rollout; beam search runs its live hypotheses as rows of
+the rollout's decoder step.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import (EncoderStates, ModelConfig, _rollout, decode_step,
-                    default_max_len, encode, initial_decoder_state)
+from .model import (EncoderStates, ModelConfig, _rollout, _step_rows, default_max_len,
+                    encode)
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,15 @@ class SampleBatch:
             raise ValueError("log_probs must hold one entry per sampled step")
 
 
+def _resolve_max_len(max_len: int | None, enc: EncoderStates, config: ModelConfig) -> int:
+    """The decode-length cap: ``default_max_len`` when None, at least 1."""
+    if max_len is None:
+        max_len = default_max_len(enc.source_length, config)
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    return max_len
+
+
 def _as_seed_sequence(rng) -> np.random.SeedSequence:
     if isinstance(rng, np.random.SeedSequence):
         return rng
@@ -96,10 +106,7 @@ def sample_sequences(features, params, config: ModelConfig, num_samples: int,
     root = _as_seed_sequence(rng)
     if enc is None:
         enc = encode(features, params, config)
-    if max_len is None:
-        max_len = default_max_len(enc.source_length, config)
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    max_len = _resolve_max_len(max_len, enc, config)
     children = [_substream(root, m) for m in range(num_samples)]
     gens = [np.random.default_rng(child) for child in children]
     last = config.vocab_size - 1
@@ -145,9 +152,7 @@ def greedy_decode(features, params, config: ModelConfig,
     """Pick the argmax symbol at every step (ties to the smaller id)."""
     with ad.no_grad():
         enc = encode(features, params, config)
-        if max_len is None:
-            max_len = default_max_len(enc.source_length, config)
-        rows, _ = _rollout(enc, params, config, max_len, 1,
+        rows, _ = _rollout(enc, params, config, _resolve_max_len(max_len, enc, config), 1,
                            lambda lp, _rows, _step: np.argmax(lp, axis=1))
     return _finish(*rows[0])
 
@@ -159,36 +164,40 @@ def beam_search(features, params, config: ModelConfig, beam: int = 5,
     At each step all expansions of the live hypotheses are pooled and ranked
     by cumulative log-prob; the top ``beam`` survive. Survivors ending in eos
     are finalized, as is anything still alive at max_len (truncated). Ties
-    break toward the lexicographically smaller grapheme sequence.
+    break toward the lexicographically smaller grapheme sequence. The live
+    hypotheses advance together as rows of the model's decoder step.
     """
     if beam < 1:
         raise ValueError(f"beam width must be at least 1, got {beam}")
     with ad.no_grad():
         enc = encode(features, params, config)
-        if max_len is None:
-            max_len = default_max_len(enc.source_length, config)
-
-        # live items: (graphemes, lps, cumulative, state, prev_id)
-        live = [((), (), 0.0, initial_decoder_state(config), config.sos_id)]
-        finished: list[Hypothesis] = []
-        for _ in range(max_len):
-            pool = []
-            for graphemes, lps, cum, state, prev in live:
-                log_probs, new_state = decode_step(prev, state, enc, params, config)
-                for y in range(config.vocab_size):
-                    lp = float(log_probs.data[y])
-                    emitted = graphemes + (y,)
-                    pool.append((cum + lp, emitted, lps + (lp,), new_state, y))
-            pool.sort(key=lambda item: (-item[0], item[1]))
-            live = []
-            for cum, emitted, lps, state, y in pool[:beam]:
-                if y == config.eos_id:
-                    finished.append(_finish(emitted[:-1], lps, False))
-                else:
-                    live.append((emitted, lps, cum, state, y))
-            if not live:
-                break
-        for graphemes, lps, _cum, _state, _prev in live:
-            finished.append(_finish(graphemes, lps, True))
-        finished.sort(key=lambda h: (-h.normalized_score, h.graphemes))
-        return finished[0]
+        max_len = _resolve_max_len(max_len, enc, config)
+    # one row per live hypothesis, kept in lexicographic order of graphemes,
+    # so the row-major flat index orders expansions as their graphemes do
+    prev = np.array([config.sos_id])
+    h = np.zeros((1, config.dec_hidden))
+    c = np.zeros((1, config.dec_hidden))
+    ctx = np.zeros((1, config.enc_out_dim))
+    cum = np.zeros(1)
+    live = [((), ())]  # each row's (graphemes, step log-probs)
+    finished: list[Hypothesis] = []
+    for _ in range(max_len):
+        log_probs, h, c, ctx, _ = _step_rows(enc, params, config, prev, h, c, ctx)
+        scores = (cum[:, None] + log_probs).ravel()
+        # the stable sort breaks score ties toward the smaller flat index,
+        # that is the smaller grapheme sequence; survivors keep flat order
+        top = np.sort(np.argsort(-scores, kind="stable")[:beam])
+        rows, ys = np.divmod(top, config.vocab_size)
+        grown = [(live[r][0] + (y,), live[r][1] + (lp,)) for r, y, lp in
+                 zip(rows.tolist(), ys.tolist(), log_probs[rows, ys].tolist())]
+        keep = ys != config.eos_id
+        mask = keep.tolist()
+        finished += [_finish(g[:-1], lps, False) for (g, lps), k in zip(grown, mask) if not k]
+        live = [item for item, k in zip(grown, mask) if k]
+        if not live:
+            break
+        prev, cum, rows = ys[keep], scores[top[keep]], rows[keep]
+        h, c, ctx = h[rows], c[rows], ctx[rows]
+    finished += [_finish(g, lps, True) for g, lps in live]
+    finished.sort(key=lambda hyp: (-hyp.normalized_score, hyp.graphemes))
+    return finished[0]

@@ -134,7 +134,6 @@ class DecoderState:
     h: Tensor
     c: Tensor
     prev_context: Tensor
-    step_index: int = 0
 
 
 def initial_decoder_state(config: ModelConfig) -> DecoderState:
@@ -142,7 +141,6 @@ def initial_decoder_state(config: ModelConfig) -> DecoderState:
         h=ad.constant(np.zeros(config.dec_hidden)),
         c=ad.constant(np.zeros(config.dec_hidden)),
         prev_context=ad.constant(np.zeros(config.enc_out_dim)),
-        step_index=0,
     )
 
 
@@ -210,9 +208,7 @@ def decode_step(prev_id: int, state: DecoderState, enc: EncoderStates,
     logits = ad.add(ad.matmul(ad.concat([h_new, context]), params["dec.out.w"]),
                     params["dec.out.b"])
     log_probs = ad.log_softmax(logits)
-    new_state = DecoderState(h=h_new, c=c_new, prev_context=context,
-                             step_index=state.step_index + 1)
-    return log_probs, new_state
+    return log_probs, DecoderState(h=h_new, c=c_new, prev_context=context)
 
 
 def _gemv_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -228,6 +224,46 @@ def _gemv_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _mat_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """mat @ row for every row, again one matrix-vector product per row."""
     return (mat @ rows[:, :, None])[:, :, 0]
+
+
+def _step_rows(enc: EncoderStates, params, config: ModelConfig, prev: np.ndarray,
+               h: np.ndarray, c: np.ndarray, ctx: np.ndarray):
+    """Advance R decoder rows by one symbol in plain numpy, off the tape.
+
+    ``prev`` holds each row's previous symbol id; ``h``, ``c`` and ``ctx``
+    its decoder state and previous context, one row each. Returns the (R, V)
+    log-probs, the new ``h``, ``c`` and context, and the arrays the
+    rollout's backward saves. Each row gets exactly the bits of
+    ``decode_step`` for that row alone.
+    """
+    hd, henc = config.dec_hidden, enc.states.data
+    x = np.concatenate([params["dec.embed.w"].data[prev], ctx], axis=1)
+    pre = (_gemv_rows(x, params["dec.lstm.w_ih"].data)
+           + _gemv_rows(h, params["dec.lstm.w_hh"].data) + params["dec.lstm.b"].data)
+    i, f, g, o = ad._lstm_gates(pre, hd)
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+
+    att = None  # the scorer's saved intermediate: W h (bilinear) or tanh(pre) (mlp)
+    if config.scorer == "dot":
+        scores = _mat_rows(henc, h_new)
+    elif config.scorer == "bilinear":
+        att = _mat_rows(params["att.bilinear.w"].data, h_new)
+        scores = _mat_rows(henc, att)
+    else:
+        q = _gemv_rows(h_new, params["att.mlp.w_dec"].data)
+        att = np.tanh(enc.mlp_proj.data + q[:, None, :])
+        scores = att @ params["att.mlp.v"].data
+    e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+    align = e / e.sum(axis=1, keepdims=True)
+    ctx_new = _gemv_rows(align, henc)
+
+    hc = np.concatenate([h_new, ctx_new], axis=1)
+    logits = _gemv_rows(hc, params["dec.out.w"].data) + params["dec.out.b"].data
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    return log_probs, h_new, c_new, ctx_new, (x, i, f, g, o, tc, att, align, hc)
 
 
 def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
@@ -265,34 +301,10 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
     row_ids, symbols, picked = [], [], []
     cache = []
     for step in range(max_len):
-        x = np.concatenate([embed.data[prev], ctx], axis=1)
-        pre = _gemv_rows(x, w_ih.data) + _gemv_rows(h, w_hh.data) + b.data
-        i, f, g, o = ad._lstm_gates(pre, hd)
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-
-        att = None  # the scorer's saved intermediate: W h (bilinear) or tanh(pre) (mlp)
-        if config.scorer == "dot":
-            scores = _mat_rows(henc, h_new)
-        elif config.scorer == "bilinear":
-            att = _mat_rows(w_att.data, h_new)
-            scores = _mat_rows(henc, att)
-        else:
-            att = np.tanh(proj.data + _gemv_rows(h_new, w_dec.data)[:, None, :])
-            scores = att @ v.data
-        e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
-        align = e / e.sum(axis=1, keepdims=True)
-        ctx_new = _gemv_rows(align, henc)
-
-        hc = np.concatenate([h_new, ctx_new], axis=1)
-        logits = _gemv_rows(hc, w_out.data) + b_out.data
-        shifted = logits - np.max(logits, axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-
+        log_probs, h_new, c_new, ctx_new, saved = _step_rows(enc, params, config,
+                                                             prev, h, c, ctx)
         y = np.asarray(choose(log_probs, live, step), dtype=np.int64)
-        cache.append((live, prev, x, h, c, i, f, g, o, tc, h_new, att, align, hc,
-                      log_probs, y))
+        cache.append((live, prev, h, c, h_new, log_probs, y) + saved)
         row_ids.extend(live.tolist())
         symbols.extend(y.tolist())
         picked.extend(log_probs[np.arange(live.shape[0]), y])
@@ -321,8 +333,8 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
             d_proj, d_w_dec, d_v = (np.zeros_like(t.data) for t in (proj, w_dec, v))
         xs, hs, das, hcs, dzs = [], [], [], [], []
         end = len(g_all)
-        for (rows, prev_ids, x, h_prev, c_prev, i, f, g, o, tc, h_new, att, align,
-             hc, log_probs, y) in reversed(cache):
+        for (rows, prev_ids, h_prev, c_prev, h_new, log_probs, y, x, i, f, g, o, tc,
+             att, align, hc) in reversed(cache):
             n = rows.shape[0]
             gl = g_all[end - n:end]
             end -= n

@@ -18,6 +18,12 @@ def rand(*shape, seed=0, scale=1.0):
     return ad.parameter(np.random.default_rng(seed).normal(0.0, scale, size=shape))
 
 
+def sum_sq(t):
+    """Sum of squares as one dot product of the flattened tensor with itself."""
+    flat = ad.reshape(t, (t.data.size,))
+    return ad.matmul(flat, flat)
+
+
 def test_tensor_basics():
     t = ad.tensor([[1.0, 2.0]])
     assert t.shape == (1, 2)
@@ -29,27 +35,25 @@ def test_tensor_basics():
 
 
 def test_scalar_item_and_zero_grad():
-    p = ad.parameter(np.array(2.0))
-    loss = ad.mul(p, p)
+    p = ad.parameter(np.array([2.0]))
+    loss = ad.matmul(p, p)
     ad.backward(loss)
     assert p.grad == pytest.approx(4.0)
     p.zero_grad()
     assert p.grad is None
 
 
-def test_add_and_mul_forward():
+def test_add_forward():
     a = ad.tensor([1.0, 2.0])
     b = ad.tensor([3.0, 5.0])
     np.testing.assert_array_equal(ad.add(a, b).data, [4.0, 7.0])
-    np.testing.assert_array_equal(ad.mul(a, b).data, [3.0, 10.0])
 
 
 def test_binary_ops_reject_shape_mismatch():
     a = ad.tensor(np.zeros((2, 3)))
     b = ad.tensor(np.zeros((3, 2)))
-    for op in (ad.add, ad.mul):
-        with pytest.raises(ValueError, match="shape"):
-            op(a, b)
+    with pytest.raises(ValueError, match="shape"):
+        ad.add(a, b)
 
 
 def test_matmul_identity_and_orthogonal_rows():
@@ -68,23 +72,18 @@ def test_matmul_rejects_inner_mismatch():
 def test_matmul_gradients(shapes):
     a = rand(*shapes[0], seed=1)
     b = rand(*shapes[1], seed=2)
-    assert check_op_gradients(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
-                              [a, b]) <= TOL
+    assert check_op_gradients(lambda: sum_sq(ad.matmul(a, b)), [a, b]) <= TOL
 
 
-@pytest.mark.parametrize("fn", [ad.tanh, ad.sigmoid, ad.leaky_relu])
+@pytest.mark.parametrize("fn", [ad.tanh, ad.leaky_relu])
 def test_pointwise_gradients(fn):
     a = rand(4, seed=3)
-    assert check_op_gradients(lambda: ad.sum_all(ad.mul(fn(a), fn(a))), [a]) <= TOL
+    assert check_op_gradients(lambda: sum_sq(fn(a)), [a]) <= TOL
 
 
 def test_pointwise_known_values():
     assert ad.tanh(ad.tensor(np.array(0.0))).item() == 0.0
     assert ad.leaky_relu(ad.tensor(np.array(-1.0))).item() == pytest.approx(-0.01)
-    assert ad.sigmoid(ad.tensor(np.array(0.0))).item() == pytest.approx(0.5)
-    # sigmoid stays exact far into the tails
-    assert ad.sigmoid(ad.tensor(np.array(-800.0))).item() == pytest.approx(0.0, abs=1e-300)
-    assert ad.sigmoid(ad.tensor(np.array(800.0))).item() == pytest.approx(1.0)
 
 
 def test_add_row_broadcasts_explicitly():
@@ -93,8 +92,7 @@ def test_add_row_broadcasts_explicitly():
     out = ad.add_row(m, r)
     np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     mp, rp = rand(2, 3, seed=4), rand(3, seed=5)
-    assert check_op_gradients(
-        lambda: ad.sum_all(ad.mul(ad.add_row(mp, rp), ad.add_row(mp, rp))), [mp, rp]) <= TOL
+    assert check_op_gradients(lambda: sum_sq(ad.add_row(mp, rp)), [mp, rp]) <= TOL
 
 
 def test_softmax_uniform_and_sum():
@@ -122,7 +120,7 @@ def test_softmax_log_softmax_consistency():
 def test_softmax_gradients(fn):
     a = rand(5, seed=8)
     w = ad.constant(np.random.default_rng(9).normal(size=5))
-    assert check_op_gradients(lambda: ad.sum_all(ad.mul(fn(a), w)), [a]) <= TOL
+    assert check_op_gradients(lambda: ad.matmul(fn(a), w), [a]) <= TOL
 
 
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
@@ -154,12 +152,9 @@ def test_concat_and_reshape_gradients():
     a, b = rand(2, 3, seed=11), rand(1, 3, seed=12)
     out = ad.concat([a, b], axis=0)
     assert out.shape == (3, 3)
-    assert check_op_gradients(
-        lambda: ad.sum_all(ad.mul(ad.concat([a, b], axis=0), ad.concat([a, b], axis=0))),
-        [a, b]) <= TOL
+    assert check_op_gradients(lambda: sum_sq(ad.concat([a, b], axis=0)), [a, b]) <= TOL
     c = rand(6, seed=13)
-    assert check_op_gradients(
-        lambda: ad.sum_all(ad.mul(ad.reshape(c, (2, 3)), ad.reshape(c, (2, 3)))), [c]) <= TOL
+    assert check_op_gradients(lambda: sum_sq(ad.reshape(c, (2, 3))), [c]) <= TOL
 
 
 def test_concat_rejects_rank_mismatch():
@@ -202,7 +197,7 @@ def test_lstm_cell_gradients():
 
     def loss():
         h, c = ad.lstm_cell(*args)
-        return ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(ad.mul(c, c)))
+        return ad.add(sum_sq(h), sum_sq(c))
 
     assert check_op_gradients(loss, args) <= TOL
 
@@ -229,7 +224,7 @@ def test_lstm_sequence_gradients():
 
     def loss():
         out = ad.lstm_sequence(pre, w_hh)
-        return ad.sum_all(ad.mul(out, out))
+        return sum_sq(out)
 
     assert check_op_gradients(loss, [pre, w_hh]) <= TOL
 
@@ -242,30 +237,30 @@ def test_backward_requires_recorded_scalar():
 
 
 def test_backward_twice_is_rejected():
-    p = ad.parameter(np.array(3.0))
-    loss = ad.mul(p, p)
+    p = ad.parameter(np.array([3.0]))
+    loss = ad.matmul(p, p)
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="already"):
         ad.backward(loss)
     # and partial reuse through a downstream node is also rejected
     p.zero_grad()
-    mid = ad.mul(p, p)
+    mid = ad.matmul(p, p)
     ad.backward(ad.scale(mid, 2.0))
     with pytest.raises(RuntimeError, match="already"):
         ad.backward(ad.scale(mid, 3.0))
 
 
 def test_gradients_accumulate_across_separate_graphs():
-    p = ad.parameter(np.array(2.0))
-    ad.backward(ad.mul(p, p))
-    ad.backward(ad.mul(p, p))
+    p = ad.parameter(np.array([2.0]))
+    ad.backward(ad.matmul(p, p))
+    ad.backward(ad.matmul(p, p))
     assert p.grad == pytest.approx(8.0)
 
 
 def test_shared_subexpression_accumulates_through_fanout():
     p = ad.parameter(np.array([1.0, 2.0]))
     y = ad.tanh(p)
-    loss = ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(y))
+    loss = ad.add(ad.matmul(y, y), ad.sum_all(y))
     ad.backward(loss)
     expected = (2.0 * np.tanh(p.data) + 1.0) * (1.0 - np.tanh(p.data) ** 2)
     np.testing.assert_allclose(p.grad, expected, atol=1e-14)
@@ -298,7 +293,7 @@ def test_backward_frees_saved_arrays_without_gc():
 def test_no_grad_suppresses_taping():
     p = ad.parameter(np.array([1.0, 2.0]))
     with ad.no_grad():
-        out = ad.mul(p, p)
+        out = ad.add(p, p)
     assert out.node is None
     with pytest.raises(ValueError):
         ad.backward(ad.sum_all(out))

@@ -214,10 +214,9 @@ def test_decode_step_contract(tiny_model):
     enc = encode(np.random.default_rng(9).normal(size=(4, config.feature_dim)),
                  params, config)
     state = initial_decoder_state(config)
-    log_probs, new_state = decode_step(config.sos_id, state, enc, params, config)
+    log_probs, _ = decode_step(config.sos_id, state, enc, params, config)
     assert log_probs.shape == (config.vocab_size,)
     assert np.exp(log_probs.data).sum() == pytest.approx(1.0, abs=1e-12)
-    assert new_state.step_index == 1
     with pytest.raises(IndexError):
         decode_step(config.sos_id + 1, state, enc, params, config)
 
