@@ -1,58 +1,45 @@
-"""Checkpoint files: parameters, optimizer moments, reward statistics.
+"""Checkpoint files: a model's parameters and the run that produced them.
 
 Text format with 17-significant-digit decimal floats, which round-trip
 float64 exactly: save -> load -> save reproduces the file byte for byte.
+Version 1 files also carried the seed, Adam moments and reward statistics;
+they still load, and those lines are checked and dropped.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _expect_kv, _f17, _LineReader, _write_lines
 from .errors import ParseError, SchemaError
 from .model import ModelConfig, param_shapes
-from .rewards import MovingStats
 
 
 @dataclass
 class Checkpoint:
-    """Full training state at one point in time."""
+    """Parameters at one point in training and where they came from."""
 
     config: dict  # echo of the training configuration
     phase: str  # "mle" or "rl"
     epoch: int
     best_dev_cer: float
-    seed: int  # root of all RNG substreams; with epoch, the resumable RNG state
-    adam_t: int
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    stats: MovingStats = field(default_factory=MovingStats)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    lines = ["checkpoint v1",
+    lines = ["checkpoint v2",
              "config " + json.dumps(ckpt.config, sort_keys=True, separators=(",", ":")),
              f"phase {ckpt.phase}",
              f"epoch {ckpt.epoch}",
              f"best_dev_cer {_f17(ckpt.best_dev_cer)}",
-             f"seed {ckpt.seed}",
-             f"adam_t {ckpt.adam_t}",
-             f"stats_decay {_f17(ckpt.stats.decay)}",
-             ("stats_mu " + " ".join(_f17(v) for v in ckpt.stats.mu)).rstrip(),
-             ("stats_sigma " + " ".join(_f17(v) for v in ckpt.stats.sigma)).rstrip(),
              f"params {len(ckpt.params)}"]
-    for name in ckpt.params:
-        for tag, table in (("param", ckpt.params), ("adam_m", ckpt.adam_m),
-                           ("adam_v", ckpt.adam_v)):
-            arr = table[name]
-            dims = " ".join(str(d) for d in arr.shape)
-            lines.append(f"{tag} {name} {dims}")
-            for row in arr.reshape(arr.shape[0], -1) if arr.ndim == 2 else [arr]:
-                lines.append(" ".join(_f17(v) for v in row))
+    for name, arr in ckpt.params.items():
+        lines.append(f"param {name} " + " ".join(str(d) for d in arr.shape))
+        for row in arr.reshape(arr.shape[0], -1) if arr.ndim == 2 else [arr]:
+            lines.append(" ".join(_f17(v) for v in row))
     lines.append("end")
     _write_lines(path, lines)
 
@@ -91,9 +78,12 @@ def _read_array(reader: _LineReader, tag: str, name: str) -> np.ndarray:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a v2 checkpoint, or a v1 one whose optimizer and reward lines are dropped."""
     reader = _LineReader(path)
-    if reader.next("header") != "checkpoint v1":
-        raise ParseError("expected header 'checkpoint v1'", reader.line_no)
+    header = reader.next("header")
+    if header not in ("checkpoint v1", "checkpoint v2"):
+        raise ParseError("expected header 'checkpoint v2' or 'checkpoint v1'", reader.line_no)
+    v1 = header == "checkpoint v1"
     try:
         config = json.loads(_expect_kv(reader, "config"))
     except json.JSONDecodeError:
@@ -102,22 +92,18 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         epoch = int(_expect_kv(reader, "epoch"))
         best_dev_cer = float(_expect_kv(reader, "best_dev_cer"))
-        seed = int(_expect_kv(reader, "seed"))
-        adam_t = int(_expect_kv(reader, "adam_t"))
-        decay = float(_expect_kv(reader, "stats_decay"))
-    except ValueError:
-        raise ParseError("malformed numeric header field", reader.line_no) from None
-    mu = _floats(_expect_kv(reader, "stats_mu", allow_empty=True), reader)
-    sigma = _floats(_expect_kv(reader, "stats_sigma", allow_empty=True), reader)
-    if mu.shape != sigma.shape:
-        raise SchemaError("stats_mu and stats_sigma lengths differ")
-    try:
+        if v1:
+            int(_expect_kv(reader, "seed"))
+            int(_expect_kv(reader, "adam_t"))
+            float(_expect_kv(reader, "stats_decay"))
+            mu = _floats(_expect_kv(reader, "stats_mu", allow_empty=True), reader)
+            sigma = _floats(_expect_kv(reader, "stats_sigma", allow_empty=True), reader)
+            if mu.shape != sigma.shape:
+                raise SchemaError("stats_mu and stats_sigma lengths differ")
         n_params = int(_expect_kv(reader, "params"))
     except ValueError:
-        raise ParseError("params count must be an integer", reader.line_no) from None
+        raise ParseError("malformed numeric header field", reader.line_no) from None
     params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         head = reader.next("'param <name> <shape>'")
         parts = head.split()
@@ -128,15 +114,15 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise SchemaError(f"duplicate parameter {name}")
         reader.pos -= 1
         params[name] = _read_array(reader, "param", name)
-        adam_m[name] = _read_array(reader, "adam_m", name)
-        adam_v[name] = _read_array(reader, "adam_v", name)
-        if params[name].shape != adam_m[name].shape or params[name].shape != adam_v[name].shape:
+        if v1 and any(_read_array(reader, tag, name).shape != params[name].shape
+                      for tag in ("adam_m", "adam_v")):
             raise SchemaError(f"optimizer moment shapes for {name} do not match the parameter")
     if reader.next("'end'") != "end":
         raise ParseError("expected 'end'", reader.line_no)
+    if reader.pos != len(reader.lines):
+        raise ParseError("trailing content after 'end'", reader.pos + 1)
     return Checkpoint(config=config, phase=phase, epoch=epoch, best_dev_cer=best_dev_cer,
-                      seed=seed, adam_t=adam_t, params=params, adam_m=adam_m, adam_v=adam_v,
-                      stats=MovingStats(decay=decay, mu=mu, sigma=sigma))
+                      params=params)
 
 
 def validate_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> None:

@@ -53,7 +53,6 @@ class SampleBatch:
     log-prob, sample after sample; the surrogates differentiate through it.
     """
 
-    utterance_index: int
     samples: tuple[Hypothesis, ...]
     seeds: tuple[tuple[int, ...], ...]
     log_probs: Tensor
@@ -90,7 +89,7 @@ def _substream(root: np.random.SeedSequence, index: int) -> np.random.SeedSequen
 
 
 def sample_sequences(features, params, config: ModelConfig, num_samples: int,
-                     max_len: int | None, rng, utterance_index: int = 0,
+                     max_len: int | None, rng,
                      enc: EncoderStates | None = None) -> SampleBatch:
     """Draw num_samples sequences, each conditioned on its own predictions.
 
@@ -119,8 +118,7 @@ def sample_sequences(features, params, config: ModelConfig, num_samples: int,
 
     rows, log_probs = _rollout(enc, params, config, max_len, num_samples, draw)
     seeds = tuple(tuple(int(k) for k in child.spawn_key) for child in children)
-    return SampleBatch(utterance_index=utterance_index,
-                       samples=tuple(_finish(*row) for row in rows), seeds=seeds,
+    return SampleBatch(samples=tuple(_finish(*row) for row in rows), seeds=seeds,
                        log_probs=log_probs)
 
 

@@ -183,8 +183,7 @@ def expected_estimator_gradient(task: TinyTask, mode: str,
         hyp, log_probs = forced_decode(task.features, params, config, graphemes, terminated)
         prob = float(np.exp(hyp.total_log_prob))
         total_prob += prob
-        batch = SampleBatch(utterance_index=0, samples=(hyp,), seeds=((0,),),
-                            log_probs=log_probs)
+        batch = SampleBatch(samples=(hyp,), seeds=((0,),), log_probs=log_probs)
         if mode == "time_reward":
             surrogate, _ = reinforce_time_gradient(batch, task.reference, gamma,
                                                    stats=None, normalize=False)

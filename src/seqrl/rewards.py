@@ -17,16 +17,8 @@ EPS = 1e-8
 
 def edit_distance(a, b) -> int:
     """Levenshtein distance with unit insert/delete/substitute costs."""
-    a, b = list(a), list(b)
-    if len(a) < len(b):
-        a, b = b, a  # keep the rolling row short
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, y in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
-        prev = cur
-    return prev[len(b)]
+    a = list(a)
+    return prefix_edit_distances(a, b)[-1] if a else len(list(b))
 
 
 def prefix_edit_distances(hyp, ref) -> list[int]:

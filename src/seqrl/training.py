@@ -31,6 +31,10 @@ _TAG_SHUFFLE_MLE = 11
 _TAG_SHUFFLE_RL = 21
 _TAG_SAMPLES = 31
 
+# the type each TrainConfig field must hold; fields not listed hold integers
+_FIELD_KINDS = {"model": (ModelConfig, "an object"), "rl": (RlConfig, "an object"),
+                "learning_rate": ((int, float), "a number")}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,6 +49,11 @@ class TrainConfig:
     eval_beam: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, what = _FIELD_KINDS.get(f.name, (int, "an integer"))
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("batch_size", "mle_max_epochs", "rl_max_epochs", "patience", "eval_beam"):
@@ -173,20 +182,9 @@ def _tensors_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 
 def _snapshot(config: TrainConfig, phase: str, epoch: int, dev_cer: float,
-              params: dict[str, Tensor], adam: AdamState,
-              stats: MovingStats) -> Checkpoint:
-    return Checkpoint(
-        config=config.to_dict(),
-        phase=phase,
-        epoch=epoch,
-        best_dev_cer=dev_cer,
-        seed=config.seed,
-        adam_t=adam.t,
-        params={n: p.data.copy() for n, p in params.items()},
-        adam_m={n: a.copy() for n, a in adam.m.items()},
-        adam_v={n: a.copy() for n, a in adam.v.items()},
-        stats=MovingStats(decay=stats.decay, mu=stats.mu.copy(), sigma=stats.sigma.copy()),
-    )
+              params: dict[str, Tensor]) -> Checkpoint:
+    return Checkpoint(config=config.to_dict(), phase=phase, epoch=epoch, best_dev_cer=dev_cer,
+                      params={n: p.data.copy() for n, p in params.items()})
 
 
 def _check_corpus(corpus: Corpus, config: ModelConfig, split: str) -> None:
@@ -229,8 +227,8 @@ def _finish_phase(result_rows, best, out_dir, phase, log):
 
 
 def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
-               params: dict[str, Tensor], stats: MovingStats, max_epochs: int,
-               shuffle_tag: int, utterance_loss, out_dir: str | None, log,
+               params: dict[str, Tensor], max_epochs: int, shuffle_tag: int,
+               utterance_loss, out_dir: str | None, log,
                baseline: bool = False) -> TrainResult:
     """The epoch loop both phases share.
 
@@ -247,7 +245,7 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
         rows.append(MetricsRow(epoch=0, phase=phase, train_loss=float("nan"),
                                mean_reward=float("nan"), dev_cer=dev_cer))
         log(f"[{phase}] start: dev_cer {dev_cer:.4f}")
-        best = _snapshot(config, phase, 0, dev_cer, params, adam, stats)
+        best = _snapshot(config, phase, 0, dev_cer, params)
     stale = 0
     for epoch in range(1, max_epochs + 1):
         started = time.monotonic()
@@ -286,7 +284,7 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
         log(f"[{phase}] epoch {epoch}: loss {train_loss:.4f} {reward_part}"
             f"dev_cer {dev_cer:.4f} ({time.monotonic() - started:.1f}s)")
         if best is None or dev_cer < best.best_dev_cer:
-            best = _snapshot(config, phase, epoch, dev_cer, params, adam, stats)
+            best = _snapshot(config, phase, epoch, dev_cer, params)
             stale = 0
         else:
             stale += 1
@@ -308,8 +306,8 @@ def train_mle(train: Corpus, dev: Corpus, config: TrainConfig,
         _, per_step = sequence_log_prob(utt.features, target, params, config.model)
         return mle_loss(per_step, target), ()
 
-    return _run_phase("mle", train, dev, config, params, MovingStats(),
-                      config.mle_max_epochs, _TAG_SHUFFLE_MLE, utterance_loss, out_dir, log)
+    return _run_phase("mle", train, dev, config, params, config.mle_max_epochs,
+                      _TAG_SHUFFLE_MLE, utterance_loss, out_dir, log)
 
 
 def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
@@ -335,10 +333,9 @@ def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
         mle = mle_loss(per_step, target)
         batch = sample_sequences(
             utt.features, params, config.model, rl_cfg.num_samples, None,
-            np.random.SeedSequence([config.seed, _TAG_SAMPLES, epoch, idx]),
-            utterance_index=idx, enc=enc)
+            np.random.SeedSequence([config.seed, _TAG_SAMPLES, epoch, idx]), enc=enc)
         surrogate, totals = rl_surrogate(batch, utt.transcript, rl_cfg, stats)
         return combined_loss(mle, surrogate, rl_cfg.rl_weight), totals
 
-    return _run_phase("rl", train, dev, config, params, stats, config.rl_max_epochs,
+    return _run_phase("rl", train, dev, config, params, config.rl_max_epochs,
                       _TAG_SHUFFLE_RL, utterance_loss, out_dir, log, baseline=True)

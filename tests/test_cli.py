@@ -86,8 +86,23 @@ def test_seed_option_overrides_config(workspace):
                     "--dev", str(root / "toy.dev"),
                     "--seed", "7", "--out-dir", str(root / "run-seed7")])
     ckpt = load_checkpoint(str(root / "run-seed7" / "mle_best.ckpt"))
-    assert ckpt.seed == 7
     assert ckpt.config["seed"] == 7
+
+
+@pytest.mark.parametrize("override", [{"model": 5}, {"learning_rate": "x"},
+                                      {"seed": "x"}, {"rl": 3}])
+def test_train_rejects_mistyped_config_before_training(workspace, tmp_path, override):
+    root, runner, _ = workspace
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({**CONFIG, **override}))
+    result = runner.invoke(main, ["train-mle", "--config", str(config_path),
+                                  "--train", str(root / "toy.train"),
+                                  "--dev", str(root / "toy.dev"),
+                                  "--out-dir", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "error (config)" in result.stderr
+    assert "epoch" not in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rl_from_checkpoint(workspace):
@@ -101,6 +116,11 @@ def test_train_rl_from_checkpoint(workspace):
     rows = (root / "run1" / "rl_metrics.csv").read_text().splitlines()
     assert rows[1].startswith("0,rl,")  # pre-update baseline row
     assert load_checkpoint(str(root / "run1" / "rl_best.ckpt")).phase == "rl"
+    # written checkpoints hold the parameters, not the optimizer or reward state
+    for name in ("mle_best.ckpt", "rl_best.ckpt"):
+        lines = (root / "run1" / name).read_text().splitlines()
+        assert lines[0] == "checkpoint v2"
+        assert not [l for l in lines if l.startswith(("adam_", "stats_", "seed "))]
 
 
 def test_evaluate_reports_cer(workspace):

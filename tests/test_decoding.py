@@ -53,10 +53,10 @@ def test_sampling_validates_arguments(tiny_model):
     with pytest.raises(ValueError, match="max_len"):
         sample_sequences(feats, params, config, num_samples=1, max_len=0, rng=0)
     with pytest.raises(ValueError):
-        SampleBatch(utterance_index=0, samples=(), seeds=(), log_probs=ad.constant(np.zeros(0)))
+        SampleBatch(samples=(), seeds=(), log_probs=ad.constant(np.zeros(0)))
     batch = sample_sequences(feats, params, config, num_samples=2, max_len=4, rng=0)
     with pytest.raises(ValueError, match="log_probs"):
-        SampleBatch(utterance_index=0, samples=batch.samples, seeds=batch.seeds,
+        SampleBatch(samples=batch.samples, seeds=batch.seeds,
                     log_probs=ad.constant(batch.log_probs.data[1:]))
 
 

@@ -27,7 +27,7 @@ def zero_grads(params):
 def forced_batch(feats, params, config, combos, terminated=True):
     forced = [forced_decode(feats, params, config, c, terminated=terminated)
               for c in combos]
-    return SampleBatch(utterance_index=0, samples=tuple(hyp for hyp, _ in forced),
+    return SampleBatch(samples=tuple(hyp for hyp, _ in forced),
                        seeds=tuple((m,) for m in range(len(forced))),
                        log_probs=ad.concat([log_probs for _, log_probs in forced]))
 
@@ -85,7 +85,7 @@ def test_mle_loss_gradient_negates_log_prob_gradient(tiny_model):
 def test_unrecorded_batch_is_rejected():
     hyp = Hypothesis(graphemes=(0,), step_log_probs=(-1.0, -0.5),
                      total_log_prob=-1.5, normalized_score=-0.75)
-    batch = SampleBatch(utterance_index=0, samples=(hyp,), seeds=((0,),),
+    batch = SampleBatch(samples=(hyp,), seeds=((0,),),
                         log_probs=ad.constant([-1.0, -0.5]))
     with pytest.raises(ValueError, match="gradient recording"):
         reinforce_time_gradient(batch, [0, 1], 0.9, MovingStats())

@@ -54,7 +54,8 @@ def test_prefix_distances_equal_per_prefix_recomputation():
         hyp = list(rng.integers(0, 4, size=rng.integers(1, 9)))
         ref = list(rng.integers(0, 4, size=rng.integers(1, 9)))
         prefixes = prefix_edit_distances(hyp, ref)
-        assert prefixes == [edit_distance(hyp[:t], ref) for t in range(1, len(hyp) + 1)]
+        assert prefixes == [recursive_edit_distance(tuple(hyp[:t]), tuple(ref))
+                            for t in range(1, len(hyp) + 1)]
 
 
 def test_prefix_distances_need_nonempty_hypothesis():
