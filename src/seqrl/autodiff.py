@@ -241,16 +241,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make([out], [a], bwd)[0]
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.01) -> Tensor:
-    pos = a.data > 0
-    slope = np.where(pos, 1.0, alpha)
-
-    def bwd(gs, sink):
-        sink(a, gs[0] * slope)
-
-    return _make([np.where(pos, a.data, alpha * a.data)], [a], bwd)[0]
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax over a 1-D vector, computed with max subtraction."""
     if a.data.ndim != 1:
@@ -340,6 +330,30 @@ def sum_all(a: Tensor) -> Tensor:
     return _make([np.array(total, dtype=np.float64)], [a], bwd)[0]
 
 
+def cut(a: Tensor) -> Tensor:
+    """A requires-grad leaf sharing ``a``'s data.
+
+    A graph built on the cut stops there: ``backward`` accumulates into its
+    ``grad`` and leaves ``a``'s graph untouched, until ``resume`` carries
+    that gradient on.
+    """
+    leaf = Tensor.__new__(Tensor)
+    leaf.data, leaf.grad, leaf.requires_grad, leaf.node = a.data, None, True, None
+    return leaf
+
+
+def resume(pairs: Sequence[tuple[Tensor, np.ndarray | None]]) -> Tensor:
+    """A 0-D zero whose backward sinks each (tensor, gradient) pair's gradient
+    into its tensor; ``backward(resume(...))`` finishes the cut graphs."""
+    pairs = [(t, g) for t, g in pairs if g is not None]
+
+    def bwd(gs, sink):
+        for t, g in pairs:
+            sink(t, g)
+
+    return _make([np.zeros(())], [t for t, _ in pairs], bwd)[0]
+
+
 # ---------------------------------------------------------------------------
 # fused LSTM ops
 #
@@ -348,12 +362,15 @@ def sum_all(a: Tensor) -> Tensor:
 # what makes desk-scale training runs fit their time budget.
 
 
-def _lstm_gates(pre: np.ndarray, hidden: int):
-    i = 0.5 * (1.0 + np.tanh(0.5 * pre[..., :hidden]))
-    f = 0.5 * (1.0 + np.tanh(0.5 * pre[..., hidden:2 * hidden]))
-    g = np.tanh(pre[..., 2 * hidden:3 * hidden])
-    o = 0.5 * (1.0 + np.tanh(0.5 * pre[..., 3 * hidden:]))
-    return i, f, g, o
+def _lstm_gates(pre: np.ndarray, hidden: int, out: np.ndarray | None = None):
+    """The four gates of ``pre``, as views of one array (``out`` if given):
+    sigmoids, computed as 0.5 * (1 + tanh(pre / 2)), and tanh for the cell."""
+    act = np.multiply(pre, 0.5, out=out)
+    np.tanh(act, out=act)
+    act += 1.0
+    act *= 0.5
+    np.tanh(pre[..., 2 * hidden:3 * hidden], out=act[..., 2 * hidden:3 * hidden])
+    return tuple(act[..., k * hidden:(k + 1) * hidden] for k in range(4))
 
 
 def _lstm_grads(dh, dc, c_prev, i, f, g, o, tc):
@@ -405,58 +422,3 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
         sink(b, da)
 
     return tuple(_make([h_new, c_new], [x, h_prev, c_prev, w_ih, w_hh, b], bwd))
-
-
-def lstm_sequence(pre_x: Tensor, w_hh: Tensor) -> Tensor:
-    """Run an LSTM over a whole sequence from zero initial state.
-
-    pre_x: (S, 4H) input-side preactivations (inputs @ w_ih + b, precomputed so
-    the big matrix product is a single tape op). w_hh: (H, 4H). Returns the
-    hidden states (S, H). The recurrence and its BPTT loop run outside the
-    tape as one fused node.
-    """
-    if pre_x.data.ndim != 2 or w_hh.data.ndim != 2:
-        raise ValueError(f"lstm_sequence expects 2-D inputs, got {pre_x.shape} and {w_hh.shape}")
-    hidden = w_hh.shape[0]
-    if w_hh.shape[1] != 4 * hidden or pre_x.shape[1] != 4 * hidden:
-        raise ValueError(f"lstm_sequence shapes inconsistent: pre_x {pre_x.shape}, w_hh {w_hh.shape}")
-
-    steps = pre_x.shape[0]
-    pd, wd = pre_x.data, w_hh.data
-    i_all = np.empty((steps, hidden))
-    f_all = np.empty((steps, hidden))
-    g_all = np.empty((steps, hidden))
-    o_all = np.empty((steps, hidden))
-    c_all = np.empty((steps, hidden))
-    h_all = np.empty((steps, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    for t in range(steps):
-        pre = pd[t] + h @ wd
-        i, f, g, o = _lstm_gates(pre, hidden)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        i_all[t], f_all[t], g_all[t], o_all[t] = i, f, g, o
-        c_all[t], h_all[t] = c, h
-
-    def bwd(gs, sink):
-        dH = gs[0]
-        d_pre = np.zeros_like(pd)
-        d_whh = np.zeros_like(wd)
-        dh = np.zeros(hidden)
-        dc = np.zeros(hidden)
-        for t in range(steps - 1, -1, -1):
-            f = f_all[t]
-            dh = dh + dH[t]
-            c_prev = c_all[t - 1] if t > 0 else np.zeros(hidden)
-            da, dc = _lstm_grads(dh, dc, c_prev, i_all[t], f, g_all[t], o_all[t],
-                                 np.tanh(c_all[t]))
-            d_pre[t] = da
-            h_prev = h_all[t - 1] if t > 0 else np.zeros(hidden)
-            d_whh += np.outer(h_prev, da)
-            dh = da @ wd.T
-            dc = dc * f
-        sink(pre_x, d_pre)
-        sink(w_hh, d_whh)
-
-    return _make([h_all], [pre_x, w_hh], bwd)[0]

@@ -104,7 +104,7 @@ def sample_sequences(features, params, config: ModelConfig, num_samples: int,
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     root = _as_seed_sequence(rng)
     if enc is None:
-        enc = encode(features, params, config)
+        enc = encode([features], params, config)[0]
     max_len = _resolve_max_len(max_len, enc, config)
     children = [_substream(root, m) for m in range(num_samples)]
     gens = [np.random.default_rng(child) for child in children]
@@ -139,37 +139,41 @@ def forced_decode(features, params, config: ModelConfig, graphemes,
     if not symbols:
         raise ValueError("forced_decode needs at least one emission")
     if enc is None:
-        enc = encode(features, params, config)
+        enc = encode([features], params, config)[0]
     rows, log_probs = _rollout(enc, params, config, len(symbols), 1,
                                lambda _lp, _rows, step: [symbols[step]])
     return _finish(*rows[0]), log_probs
 
 
-def greedy_decode(features, params, config: ModelConfig,
-                  max_len: int | None = None) -> Hypothesis:
-    """Pick the argmax symbol at every step (ties to the smaller id)."""
+def greedy_decode(features, params, config: ModelConfig, max_len: int | None = None,
+                  enc: EncoderStates | None = None) -> Hypothesis:
+    """Pick the argmax symbol at every step (ties to the smaller id). A caller
+    that already encoded ``features`` passes the result as ``enc``."""
     with ad.no_grad():
-        enc = encode(features, params, config)
+        if enc is None:
+            enc = encode([features], params, config)[0]
         rows, _ = _rollout(enc, params, config, _resolve_max_len(max_len, enc, config), 1,
                            lambda lp, _rows, _step: np.argmax(lp, axis=1))
     return _finish(*rows[0])
 
 
 def beam_search(features, params, config: ModelConfig, beam: int = 5,
-                max_len: int | None = None) -> Hypothesis:
+                max_len: int | None = None, enc: EncoderStates | None = None) -> Hypothesis:
     """Beam search over grapheme expansions, maximizing the normalized score.
 
     At each step all expansions of the live hypotheses are pooled and ranked
     by cumulative log-prob; the top ``beam`` survive. Survivors ending in eos
     are finalized, as is anything still alive at max_len (truncated). Ties
     break toward the lexicographically smaller grapheme sequence. The live
-    hypotheses advance together as rows of the model's decoder step.
+    hypotheses advance together as rows of the model's decoder step. A
+    caller that already encoded ``features`` passes the result as ``enc``.
     """
     if beam < 1:
         raise ValueError(f"beam width must be at least 1, got {beam}")
-    with ad.no_grad():
-        enc = encode(features, params, config)
-        max_len = _resolve_max_len(max_len, enc, config)
+    if enc is None:
+        with ad.no_grad():
+            enc = encode([features], params, config)[0]
+    max_len = _resolve_max_len(max_len, enc, config)
     # one row per live hypothesis, kept in lexicographic order of graphemes,
     # so the row-major flat index orders expansions as their graphemes do
     prev = np.array([config.sos_id])

@@ -2,7 +2,8 @@
 
 Encoder: linear input projection + LeakyReLU, then stacked bidirectional
 LSTM layers; the top layers keep every second output frame, shrinking the
-time axis by two each. Decoder: single LSTM whose input is the previous
+time axis by two each; a batch of utterances runs, both directions of each,
+as rows of one recurrence. Decoder: single LSTM whose input is the previous
 grapheme embedding concatenated with the previous context vector; attention
 is computed from the fresh decoder state and the output layer reads the
 concatenation of decoder state and context.
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 SCORERS = ("dot", "bilinear", "mlp")
 
@@ -37,6 +38,7 @@ class ModelConfig:
     mlp_hidden: int = 32
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("vocab_size", "feature_dim", "enc_hidden", "enc_layers",
                      "embed_dim", "dec_hidden", "mlp_hidden"):
             if getattr(self, name) < 1:
@@ -144,34 +146,166 @@ def initial_decoder_state(config: ModelConfig) -> DecoderState:
     )
 
 
-def encode(features, params: dict[str, Tensor], config: ModelConfig) -> EncoderStates:
-    """Run the bidirectional pyramid encoder over (S, feature_dim) frames."""
-    x = features if isinstance(features, Tensor) else ad.constant(features)
-    if x.data.ndim != 2 or x.shape[1] != config.feature_dim:
-        raise ValueError(f"features must be (S, {config.feature_dim}), got {x.shape}")
-    source_length = x.shape[0]
-    if source_length < 2 ** config.subsample_layers:
-        raise ValueError(
-            f"input of {source_length} frames is too short for "
-            f"{config.subsample_layers} subsampling layers")
+def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[EncoderStates]:
+    """Run the bidirectional pyramid encoder over a batch of utterances.
 
-    x = ad.leaky_relu(ad.add_row(ad.matmul(x, params["enc.proj.w"]), params["enc.proj.b"]))
+    ``features`` is a list of (S, feature_dim) frame arrays, one per
+    utterance; the result holds each one's ``EncoderStates``, in the same
+    order. Both directions of every utterance run, layer by layer, as rows of
+    one recurrence, and the tape records the whole batch as one node with a
+    hand-written backward. Each utterance gets exactly the bits it gets
+    encoded alone: the input projections stay one product per utterance and
+    the recurrent product one vector-matrix product per row.
+    """
+    feats = []
+    for x in features:
+        x = x.data if isinstance(x, Tensor) else ad.constant(x).data
+        if x.ndim != 2 or x.shape[1] != config.feature_dim:
+            raise ValueError(f"features must be (S, {config.feature_dim}), got {x.shape}")
+        if x.shape[0] < 2 ** config.subsample_layers:
+            raise ValueError(
+                f"input of {x.shape[0]} frames is too short for "
+                f"{config.subsample_layers} subsampling layers")
+        feats.append(x)
+    if not feats:
+        raise ValueError("encode needs at least one utterance")
+    # longest first, so the rows still running at any step are a prefix
+    order = sorted(range(len(feats)), key=lambda u: -feats[u].shape[0])
+    feats = [feats[u] for u in order]
+    he, eo, nb = config.enc_hidden, config.enc_out_dim, len(feats)
     first_subsampled = config.enc_layers - config.subsample_layers
-    for layer in range(config.enc_layers):
-        steps = x.shape[0]
-        fwd = f"enc.l{layer}.fwd"
-        pre_f = ad.add_row(ad.matmul(x, params[f"{fwd}.w_ih"]), params[f"{fwd}.b"])
-        h_f = ad.lstm_sequence(pre_f, params[f"{fwd}.w_hh"])
-        rev = list(range(steps - 1, -1, -1))
-        bwd = f"enc.l{layer}.bwd"
-        x_rev = ad.gather_rows(x, rev)
-        pre_b = ad.add_row(ad.matmul(x_rev, params[f"{bwd}.w_ih"]), params[f"{bwd}.b"])
-        h_b = ad.gather_rows(ad.lstm_sequence(pre_b, params[f"{bwd}.w_hh"]), rev)
-        x = ad.concat([h_f, h_b], axis=1)
-        if layer >= first_subsampled:
-            x = ad.gather_rows(x, range(0, steps, 2))
-    mlp_proj = ad.matmul(x, params["att.mlp.w_enc"]) if config.scorer == "mlp" else None
-    return EncoderStates(states=x, source_length=source_length, mlp_proj=mlp_proj)
+    # per layer: the (forward, backward) pair of w_ih, of w_hh and of b
+    layers = [[[params[f"enc.l{layer}.{d}.{w}"] for d in ("fwd", "bwd")]
+               for w in ("w_ih", "w_hh", "b")] for layer in range(config.enc_layers)]
+    w_proj, b_proj = params["enc.proj.w"], params["enc.proj.b"]
+    w_enc = params["att.mlp.w_enc"] if config.scorer == "mlp" else None
+    inputs = [w_proj, b_proj] + [t for layer in layers for pair in layer for t in pair]
+    inputs += [w_enc] if w_enc is not None else []
+
+    xs = [x @ w_proj.data + b_proj.data for x in feats]
+    xs = [np.where(x > 0, x, 0.01 * x) for x in xs]
+    saved = []  # each layer's inputs, gates and cell states, kept only for the tape
+    for layer, tensors in enumerate(layers):
+        outs, gates, cells = _bilstm(xs, *([t.data for t in pair] for pair in tensors))
+        if ad._recording():
+            saved.append((xs, gates, cells))
+        xs = [y[::2].copy() if layer >= first_subsampled else y for y in outs]
+    projs = [x @ w_enc.data for x in xs] if w_enc is not None else []
+
+    def bwd(gs, sink):
+        dx = [gs[u] for u in order]
+        if w_enc is not None:
+            d_proj = [gs[nb + u] for u in order]
+            sink(w_enc, sum(x.T @ g for x, g in zip(xs, d_proj)))
+            dx = [d + g @ w_enc.data.T for d, g in zip(dx, d_proj)]
+        for layer in reversed(range(config.enc_layers)):
+            inputs_l, gates, cells = saved[layer]
+            d_out = np.zeros(cells.shape)
+            for r, x in enumerate(inputs_l):
+                s, d = x.shape[0], dx[r]
+                if layer >= first_subsampled:
+                    d = np.zeros((s, eo))
+                    d[::2] = dx[r]
+                d_out[0, r, :s] = d[:, :he]
+                d_out[1, r, :s] = d[::-1, he:]
+            dx, grads = _bilstm_backward(d_out, inputs_l, gates, cells,
+                                         *([t.data for t in pair] for pair in layers[layer][:2]))
+            for pair, g in zip(layers[layer], grads):
+                sink(pair[0], g[0])
+                sink(pair[1], g[1])
+        # the leaky ReLU's output is positive exactly where its input is
+        d_pre = np.concatenate([d * np.where(x > 0, 1.0, 0.01)
+                                for d, x in zip(dx, saved[0][0])])
+        sink(w_proj, np.concatenate(feats).T @ d_pre)
+        sink(b_proj, d_pre.sum(axis=0))
+
+    rank = np.argsort(order).tolist()  # each utterance's row
+    outs = ad._make([xs[r] for r in rank] + [projs[r] for r in rank if projs], inputs, bwd)
+    return [EncoderStates(states=outs[u], source_length=feats[r].shape[0],
+                          mlp_proj=outs[nb + u] if projs else None)
+            for u, r in enumerate(rank)]
+
+
+def _bilstm(xs, w_ih, w_hh, b):
+    """One bidirectional LSTM layer over rows sorted longest first.
+
+    ``xs`` holds each row's (S, D) inputs; ``w_ih``, ``w_hh`` and ``b`` each
+    hold the forward and the backward direction's array. Returns each row's
+    (S, 2H) outputs, and each direction's gates and cell states in the order
+    it computed them, (2, B, S, 4H) and (2, B, S, H), zero past each row's
+    end.
+    """
+    lengths = [x.shape[0] for x in xs]
+    nb, steps, hidden = len(xs), lengths[0], w_hh[0].shape[0]
+    # the input preactivations, each row reversed for the backward direction;
+    # every step overwrites its own with its gates
+    gates = np.zeros((2, nb, steps, 4 * hidden))
+    for r, (x, s) in enumerate(zip(xs, lengths)):
+        gates[0, r, :s] = x @ w_ih[0] + b[0]
+        gates[1, r, :s] = x[::-1].copy() @ w_ih[1] + b[1]
+    w_rec = np.stack(w_hh)[:, None]
+    out = np.empty((2, nb, steps, hidden))
+    cells = np.zeros((2, nb, steps, hidden))
+    h = c = np.zeros((2, nb, hidden))
+    n = nb
+    for t in range(steps):
+        while lengths[n - 1] <= t:
+            n -= 1
+        act = gates[:, :n, t]
+        # (2, n, 1, H) @ (2, 1, H, 4H): one vector-matrix product per row
+        i, f, g, o = ad._lstm_gates(act + (h[:, :n, None, :] @ w_rec)[:, :, 0], hidden, out=act)
+        c = np.add(f * c[:, :n], i * g, out=cells[:, :n, t])
+        h = np.multiply(o, np.tanh(c), out=out[:, :n, t])
+    outs = [np.concatenate([out[0, r, :s], out[1, r, s - 1::-1]], axis=1)
+            for r, s in enumerate(lengths)]
+    return outs, gates, cells
+
+
+def _bilstm_backward(d_out, xs, gates, cells, w_ih, w_hh):
+    """BPTT through one ``_bilstm`` layer, all rows and both directions at once.
+
+    ``d_out`` holds the gradient of each direction's hidden states in the
+    order it computed them, (2, B, S, H). Returns the gradient of each row's
+    inputs, and those of w_ih, w_hh and b, each stacked over the directions.
+    """
+    lengths = [x.shape[0] for x in xs]
+    nb, steps, hidden = cells.shape[1:]
+    i, f, g, o = np.split(gates, 4, axis=-1)
+    tc = np.tanh(cells)
+    # each step's gate gradients are these factors times the gradient of its
+    # cell state (input, forget and cell gates) or hidden state (output gate)
+    k_cell = np.zeros((2, nb, steps, 3, hidden))
+    np.multiply(g, i * (1.0 - i), out=k_cell[..., 0, :])
+    np.multiply(cells[:, :, :-1], (f * (1.0 - f))[:, :, 1:], out=k_cell[:, :, 1:, 1, :])
+    np.multiply(i, 1.0 - g * g, out=k_cell[..., 2, :])
+    k_out = tc * o * (1.0 - o)
+    k_hc = o * (1.0 - tc * tc)  # from the hidden state's gradient to the cell's
+    w_hh_t = np.stack(w_hh).transpose(0, 2, 1)
+    d_pre = np.zeros(gates.shape)
+    d_gate = d_pre.reshape(2, nb, steps, 4, hidden)
+    dh, dc = np.zeros((2, 2, nb, hidden))  # what flows back into each row's h and c
+    n = 0
+    for t in range(steps - 1, -1, -1):
+        while n < nb and lengths[n] > t:
+            n += 1
+        dh_t = dh[:, :n] + d_out[:, :n, t]
+        dc_t = dc[:, :n] + dh_t * k_hc[:, :n, t]
+        np.multiply(dc_t[:, :, None], k_cell[:, :n, t], out=d_gate[:, :n, t, :3])
+        np.multiply(dh_t, k_out[:, :n, t], out=d_gate[:, :n, t, 3])
+        dh[:, :n] = d_pre[:, :n, t] @ w_hh_t
+        dc[:, :n] = dc_t * f[:, :n, t]
+    # the hidden state each step read: zero at the start, o * tanh(c) after
+    h_prev = np.zeros(cells.shape)
+    h_prev[:, :, 1:] = o[:, :, :-1] * tc[:, :, :-1]
+    d_w_hh = h_prev.reshape(2, -1, hidden).transpose(0, 2, 1) @ d_pre.reshape(2, -1, 4 * hidden)
+    # the input side in time order: the backward direction read each row reversed
+    x_all = np.concatenate(xs)
+    d_fwd = np.concatenate([d_pre[0, r, :s] for r, s in enumerate(lengths)])
+    d_bwd = np.concatenate([d_pre[1, r, s - 1::-1] for r, s in enumerate(lengths)])
+    d_x = d_fwd @ w_ih[0].T + d_bwd @ w_ih[1].T
+    grads = (np.stack([x_all.T @ d_fwd, x_all.T @ d_bwd]), d_w_hh,
+             np.stack([d_fwd.sum(axis=0), d_bwd.sum(axis=0)]))
+    return np.split(d_x, np.cumsum(lengths)[:-1]), grads
 
 
 def attend(enc: EncoderStates, h_dec: Tensor, params: dict[str, Tensor],
@@ -416,7 +550,7 @@ def sequence_log_prob(features, transcript, params: dict[str, Tensor],
         if y < 0 or y >= config.eos_id:
             raise IndexError(f"transcript symbol id {y} out of range [0, {config.eos_id})")
     if enc is None:
-        enc = encode(features, params, config)
+        enc = encode([features], params, config)[0]
     _, per_step = _rollout(enc, params, config, len(transcript), 1,
                            lambda _lp, _rows, step: [transcript[step]])
     return ad.sum_all(per_step), per_step

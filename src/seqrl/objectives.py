@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .decoding import SampleBatch
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .rewards import (MovingStats, discounted_returns, normalize_final,
                       normalize_timewise, step_rewards, total_reward)
 
@@ -41,6 +41,7 @@ class RlConfig:
     normalization: str = "timewise"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.normalization not in NORMALIZATIONS:

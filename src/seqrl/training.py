@@ -21,8 +21,8 @@ from .autodiff import Tensor
 from .checkpoint import Checkpoint, save_checkpoint, validate_checkpoint
 from .data import Corpus, _f17, _write_lines, corpus_cer
 from .decoding import beam_search, greedy_decode, sample_sequences
-from .errors import ConfigError, SchemaError
-from .model import ModelConfig, encode, init_params, sequence_log_prob
+from .errors import ConfigError, SchemaError, check_field_types
+from .model import EncoderStates, ModelConfig, encode, init_params, sequence_log_prob
 from .objectives import RlConfig, combined_loss, mle_loss, rl_surrogate
 from .rewards import MovingStats
 
@@ -31,9 +31,9 @@ _TAG_SHUFFLE_MLE = 11
 _TAG_SHUFFLE_RL = 21
 _TAG_SAMPLES = 31
 
-# the type each TrainConfig field must hold; fields not listed hold integers
-_FIELD_KINDS = {"model": (ModelConfig, "an object"), "rl": (RlConfig, "an object"),
-                "learning_rate": ((int, float), "a number")}
+# utterances evaluate encodes at once; a fixed chunk bounds the encoder
+# arrays alive at once whatever the corpus size
+_EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,12 @@ class TrainConfig:
     eval_beam: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, what = _FIELD_KINDS.get(f.name, (int, "an integer"))
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        for name, section in (("model", ModelConfig), ("rl", RlConfig)):
+            if not isinstance(getattr(self, name), section):
+                raise ConfigError(f"{name} must be an object, got {getattr(self, name)!r}")
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("batch_size", "mle_max_epochs", "rl_max_epochs", "patience", "eval_beam"):
@@ -137,18 +138,23 @@ def evaluate(corpus: Corpus, params: dict[str, Tensor], config: ModelConfig,
     from .rewards import edit_distance
     rows = []
     pairs = []
-    for utt in corpus:
-        if beam == 1:
-            hyp = greedy_decode(utt.features, params, config)
-        else:
-            hyp = beam_search(utt.features, params, config, beam=beam)
-        pairs.append((hyp.graphemes, utt.transcript))
-        rows.append(EvalRow(
-            uid=utt.uid,
-            reference=corpus.vocab.to_string(utt.transcript),
-            hypothesis=corpus.vocab.to_string(hyp.graphemes),
-            distance=edit_distance(hyp.graphemes, utt.transcript),
-        ))
+    utts = corpus.utterances
+    for start in range(0, len(utts), _EVAL_CHUNK):
+        chunk = utts[start:start + _EVAL_CHUNK]
+        with ad.no_grad():
+            encs = encode([utt.features for utt in chunk], params, config)
+        for utt, enc in zip(chunk, encs):
+            if beam == 1:
+                hyp = greedy_decode(utt.features, params, config, enc=enc)
+            else:
+                hyp = beam_search(utt.features, params, config, beam=beam, enc=enc)
+            pairs.append((hyp.graphemes, utt.transcript))
+            rows.append(EvalRow(
+                uid=utt.uid,
+                reference=corpus.vocab.to_string(utt.transcript),
+                hypothesis=corpus.vocab.to_string(hyp.graphemes),
+                distance=edit_distance(hyp.graphemes, utt.transcript),
+            ))
     return EvalResult(cer=corpus_cer(pairs), rows=rows)
 
 
@@ -232,10 +238,15 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
                baseline: bool = False) -> TrainResult:
     """The epoch loop both phases share.
 
-    ``utterance_loss(utt, index, epoch)`` returns the utterance's scalar loss
-    and its per-sample total rewards (empty when the phase samples nothing).
-    With ``baseline`` the unchanged start is evaluated and logged as epoch 0
-    and is the best checkpoint until an epoch beats it.
+    Each mini-batch is encoded with one ``encode`` call.
+    ``utterance_loss(utt, index, epoch, enc)`` returns the utterance's scalar
+    loss, built on its encoder states ``enc``, and its per-sample total
+    rewards (empty when the phase samples nothing). Each utterance's loss
+    reads a cut of its encoder states, so its backward runs at once through
+    its own decoder only; one backward per batch then carries the gradients
+    the cuts collected through the encoder. With ``baseline`` the unchanged
+    start is evaluated and logged as epoch 0 and is the best checkpoint
+    until an epoch beats it.
     """
     adam = AdamState.new(params)
     rows: list[MetricsRow] = []
@@ -256,9 +267,15 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
             chunk = order[start:start + config.batch_size]
             for p in params.values():
                 p.zero_grad()
-            for idx in chunk:
-                utt = train.utterances[int(idx)]
-                loss, totals = utterance_loss(utt, int(idx), epoch)
+            utts = [train.utterances[int(idx)] for idx in chunk]
+            encs = encode([utt.features for utt in utts], params, config.model)
+            links = []  # (encoder output, its cut)
+            for idx, utt, enc in zip(chunk, utts, encs):
+                cut = EncoderStates(states=ad.cut(enc.states), source_length=enc.source_length,
+                                    mlp_proj=None if enc.mlp_proj is None
+                                    else ad.cut(enc.mlp_proj))
+                links += [(enc.states, cut.states), (enc.mlp_proj, cut.mlp_proj)]
+                loss, totals = utterance_loss(utt, int(idx), epoch, cut)
                 ad.backward(loss)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -267,6 +284,7 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
                 epoch_loss += value
                 reward_sum += float(sum(totals))
                 reward_count += len(totals)
+            ad.backward(ad.resume([(t, c.grad) for t, c in links if t is not None]))
             grads = _grads_over(params, len(chunk))
             for name, g in grads.items():
                 if not np.all(np.isfinite(g)):
@@ -301,9 +319,9 @@ def train_mle(train: Corpus, dev: Corpus, config: TrainConfig,
     params = init_params(config.model, config.seed)
     eos = config.model.eos_id
 
-    def utterance_loss(utt, idx, epoch):
+    def utterance_loss(utt, idx, epoch, enc):
         target = utt.transcript + (eos,)
-        _, per_step = sequence_log_prob(utt.features, target, params, config.model)
+        _, per_step = sequence_log_prob(utt.features, target, params, config.model, enc=enc)
         return mle_loss(per_step, target), ()
 
     return _run_phase("mle", train, dev, config, params, config.mle_max_epochs,
@@ -326,9 +344,8 @@ def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
     rl_cfg = config.rl
     eos = config.model.eos_id
 
-    def utterance_loss(utt, idx, epoch):
+    def utterance_loss(utt, idx, epoch, enc):
         target = utt.transcript + (eos,)
-        enc = encode(utt.features, params, config.model)
         _, per_step = sequence_log_prob(utt.features, target, params, config.model, enc=enc)
         mle = mle_loss(per_step, target)
         batch = sample_sequences(

@@ -172,7 +172,7 @@ def test_search_strategies_are_mutually_consistent(verdict):
     for seed in range(10):
         params = init_params(small, seed, scale=0.9)
         feats = np.random.default_rng([seed, 29]).normal(size=(3, 3))
-        enc = encode(feats, params, small)
+        enc = encode([feats], params, small)[0]
         candidates = [forced_decode(feats, params, small, combo, terminated=True,
                                     enc=enc)[0]
                       for length in range(3)

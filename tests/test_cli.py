@@ -89,8 +89,13 @@ def test_seed_option_overrides_config(workspace):
     assert ckpt.config["seed"] == 7
 
 
-@pytest.mark.parametrize("override", [{"model": 5}, {"learning_rate": "x"},
-                                      {"seed": "x"}, {"rl": 3}])
+@pytest.mark.parametrize("override", [
+    {"model": 5}, {"learning_rate": "x"}, {"seed": "x"}, {"rl": 3},
+    {"model": {**CONFIG["model"], "enc_hidden": 2.5}},
+    {"rl": {**CONFIG["rl"], "num_samples": 2.5}},
+    {"seed": -1},
+    {"learning_rate": float("nan")},  # json.dumps writes NaN, which json.load reads
+])
 def test_train_rejects_mistyped_config_before_training(workspace, tmp_path, override):
     root, runner, _ = workspace
     config_path = tmp_path / "bad.json"

@@ -239,7 +239,7 @@ def test_exhaustive_search_agrees_with_wide_beam():
     params = init_params(config, 4, scale=0.9)
     feats = random_feats(300, frames=3)
     max_len = 3
-    enc = encode(feats, params, config)
+    enc = encode([feats], params, config)[0]
     candidates = []
     for length in range(max_len):
         for combo in itertools.product(range(config.eos_id), repeat=length):
@@ -274,7 +274,7 @@ def scorer_config(scorer, vocab=4):
 def stepwise_log_probs(feats, symbols, params, config):
     """Per-step log-probs of a symbol sequence from a loop over decode_step."""
     with ad.no_grad():
-        enc = encode(feats, params, config)
+        enc = encode([feats], params, config)[0]
         state = initial_decoder_state(config)
         prev = config.sos_id
         out = []
@@ -289,7 +289,7 @@ def stepwise_beam_search(feats, params, config, beam, max_len=None):
     """Beam search that pools every expansion of a loop over decode_step and
     sorts the pool by (-cumulative log-prob, graphemes)."""
     with ad.no_grad():
-        enc = encode(feats, params, config)
+        enc = encode([feats], params, config)[0]
         if max_len is None:
             max_len = default_max_len(enc.source_length, config)
         live = [((), (), 0.0, initial_decoder_state(config), config.sos_id)]
@@ -401,7 +401,7 @@ def test_rollout_gradient_matches_finite_differences(scorer):
         return [rows[r][step] for r in live.tolist()]
 
     def objective():
-        enc = encode(feats, params, config)
+        enc = encode([feats], params, config)[0]
         out, log_probs = _rollout(enc, params, config, max_len, len(rows), choose)
         assert [truncated for _, _, truncated in out] == [False, False, False, True, False]
         weights = [coeffs[r, t] for r, (_, steps, _) in enumerate(out)

@@ -7,6 +7,7 @@ import pytest
 
 from seqrl import autodiff as ad
 from seqrl.errors import ConfigError
+from seqrl.oracles import finite_difference, l2_rel_error
 from seqrl.model import (ModelConfig, attend, count_params, decode_step,
                          default_max_len, encode, init_params,
                          initial_decoder_state, param_shapes, sequence_log_prob)
@@ -86,21 +87,21 @@ def test_encode_output_shape_and_subsampling():
     config = ModelConfig(vocab_size=4, feature_dim=3, enc_hidden=3, enc_layers=3,
                          subsample_layers=2, embed_dim=3, dec_hidden=4, mlp_hidden=3)
     params = init_params(config, 1)
-    enc = encode(np.random.default_rng(0).normal(size=(8, 3)), params, config)
+    enc = encode([np.random.default_rng(0).normal(size=(8, 3))], params, config)[0]
     assert enc.states.shape == (2, 6)
     assert enc.source_length == 8
     # odd lengths round up at each halving
-    assert encode(np.zeros((7, 3)), params, config).states.shape == (2, 6)
+    assert encode([np.zeros((7, 3))], params, config)[0].states.shape == (2, 6)
 
 
 def test_encode_rejects_bad_inputs(tiny_model):
     config, params = tiny_model
     with pytest.raises(ValueError, match="features"):
-        encode(np.zeros((4, config.feature_dim + 1)), params, config)
+        encode([np.zeros((4, config.feature_dim + 1))], params, config)
     with pytest.raises(ValueError, match="features"):
-        encode(np.zeros(config.feature_dim), params, config)
+        encode([np.zeros(config.feature_dim)], params, config)
     with pytest.raises(ValueError, match="too short"):
-        encode(np.zeros((1, config.feature_dim)), params, config)
+        encode([np.zeros((1, config.feature_dim))], params, config)
 
 
 def naive_sigmoid(z):
@@ -127,7 +128,7 @@ def test_encode_matches_naive_recurrence():
                          subsample_layers=0, embed_dim=2, dec_hidden=3, mlp_hidden=2)
     params = init_params(config, 11, scale=0.4)
     x = np.random.default_rng(12).normal(size=(5, 3))
-    enc = encode(x, params, config)
+    enc = encode([x], params, config)[0]
 
     proj = x @ params["enc.proj.w"].data + params["enc.proj.b"].data
     proj = np.where(proj > 0, proj, 0.01 * proj)
@@ -139,12 +140,67 @@ def test_encode_matches_naive_recurrence():
                                atol=1e-13)
 
 
+BATCH_MODEL = dict(vocab_size=4, feature_dim=3, enc_hidden=3, enc_layers=3,
+                   subsample_layers=2, embed_dim=3, dec_hidden=6, mlp_hidden=3)
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_encode_rows_are_independent_of_the_batch(scorer):
+    config = ModelConfig(scorer=scorer, **BATCH_MODEL)
+    params = init_params(config, 13, scale=0.5)
+    rng = np.random.default_rng(14)
+    # odd lengths, equal lengths and the shortest legal input, unsorted
+    lengths = [9, 4, 13, 9, 6, 2 ** config.subsample_layers, 11]
+    feats = [rng.normal(size=(s, config.feature_dim)) for s in lengths]
+    batch = encode(feats, params, config)
+    assert [e.source_length for e in batch] == lengths
+    for x, enc in zip(feats, batch):
+        alone = encode([x], params, config)[0]
+        assert enc.states.shape == (config.subsampled_length(x.shape[0]), config.enc_out_dim)
+        assert np.array_equal(enc.states.data, alone.states.data)
+        if scorer == "mlp":
+            assert np.array_equal(enc.mlp_proj.data, alone.mlp_proj.data)
+        else:
+            assert enc.mlp_proj is None and alone.mlp_proj is None
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_encode_gradients_match_finite_differences(scorer):
+    config = ModelConfig(scorer=scorer, **dict(BATCH_MODEL, enc_layers=2, subsample_layers=1))
+    params = init_params(config, 15, scale=0.6)
+    rng = np.random.default_rng(16)
+    # mixed lengths, so rows end at different steps and the padding is exercised
+    feats = [rng.normal(size=(s, config.feature_dim)) for s in (5, 2, 7, 5)]
+    encs = encode(feats, params, config)
+    outputs = [t for e in encs for t in (e.states, e.mlp_proj) if t is not None]
+    weights = [rng.normal(size=t.shape) for t in outputs]
+
+    def loss(tensors):
+        total = ad.constant(np.zeros(()))
+        for t, w in zip(tensors, weights):
+            total = ad.add(total, ad.matmul(ad.reshape(t, (t.data.size,)),
+                                            ad.constant(w.reshape(-1))))
+        return total
+
+    def value():
+        with ad.no_grad():
+            again = encode(feats, params, config)
+        return loss([t for e in again for t in (e.states, e.mlp_proj) if t is not None])
+
+    ad.backward(loss(outputs))
+    checked = [n for n in params if n.startswith("enc.") or n == "att.mlp.w_enc"]
+    assert len(checked) == 2 + 6 * config.enc_layers + (scorer == "mlp")
+    for name in checked:
+        numeric = finite_difference(value, [params[name]])[0]
+        assert l2_rel_error(params[name].grad, numeric) <= 1e-6, name
+
+
 def test_zero_params_give_zero_states_and_uniform_outputs():
     config = ModelConfig(vocab_size=5, feature_dim=3, enc_hidden=3, enc_layers=2,
                          subsample_layers=1, embed_dim=3, dec_hidden=4, mlp_hidden=3)
     params = zero_params(config)
     x = np.random.default_rng(2).normal(size=(6, 3))
-    enc = encode(x, params, config)
+    enc = encode([x], params, config)[0]
     np.testing.assert_array_equal(enc.states.data, np.zeros((3, 6)))
     log_probs, _ = decode_step(config.sos_id, initial_decoder_state(config), enc,
                                params, config)
@@ -184,8 +240,8 @@ def test_mlp_score_zero_readout_is_zero(tiny_model):
 
 def test_attend_single_frame_is_certain(tiny_model):
     config, params = tiny_model
-    enc = encode(np.random.default_rng(5).normal(size=(2, config.feature_dim)),
-                 params, config)
+    enc = encode([np.random.default_rng(5).normal(size=(2, config.feature_dim))],
+                 params, config)[0]
     assert enc.states.shape[0] == 1
     context, alignment = attend(enc, ad.tensor(np.random.default_rng(6).normal(size=config.dec_hidden)),
                                 params, config)
@@ -195,8 +251,8 @@ def test_attend_single_frame_is_certain(tiny_model):
 
 def test_attend_is_softmax_weighted_sum(tiny_model):
     config, params = tiny_model
-    enc = encode(np.random.default_rng(7).normal(size=(6, config.feature_dim)),
-                 params, config)
+    enc = encode([np.random.default_rng(7).normal(size=(6, config.feature_dim))],
+                 params, config)[0]
     h_dec = ad.tensor(np.random.default_rng(8).normal(size=config.dec_hidden))
     context, alignment = attend(enc, h_dec, params, config)
     assert alignment.data.sum() == pytest.approx(1.0, abs=1e-12)
@@ -211,8 +267,8 @@ def test_attend_is_softmax_weighted_sum(tiny_model):
 
 def test_decode_step_contract(tiny_model):
     config, params = tiny_model
-    enc = encode(np.random.default_rng(9).normal(size=(4, config.feature_dim)),
-                 params, config)
+    enc = encode([np.random.default_rng(9).normal(size=(4, config.feature_dim))],
+                 params, config)[0]
     state = initial_decoder_state(config)
     log_probs, _ = decode_step(config.sos_id, state, enc, params, config)
     assert log_probs.shape == (config.vocab_size,)

@@ -272,7 +272,7 @@ def test_rl_tape_does_not_grow_with_the_sample_count(tiny_model):
     sizes = []
     for num_samples in (1, 15):
         rl_config = RlConfig(num_samples=num_samples)
-        enc = encode(feats, params, config)
+        enc = encode([feats], params, config)[0]
         _, per_step = sequence_log_prob(feats, transcript, params, config, enc=enc)
         batch = sample_sequences(feats, params, config, num_samples, None, rng=4, enc=enc)
         surrogate, _ = rl_surrogate(batch, transcript[:-1], rl_config, MovingStats())

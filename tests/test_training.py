@@ -10,10 +10,11 @@ from seqrl import autodiff as ad
 from seqrl import training
 from seqrl.checkpoint import load_checkpoint, validate_checkpoint
 from seqrl.data import Corpus, default_vocabulary, generate_corpus
-from seqrl.decoding import greedy_decode
+from seqrl.decoding import beam_search, greedy_decode
 from seqrl.errors import ConfigError, SchemaError
 from seqrl.model import ModelConfig, init_params
 from seqrl.objectives import RlConfig
+from seqrl.rewards import edit_distance
 from seqrl.training import (AdamState, TrainConfig, adam_update, evaluate,
                             train_mle, train_rl, write_metrics)
 
@@ -81,6 +82,25 @@ def test_train_config_validation_and_round_trip():
         TrainConfig.from_dict({"model": dict(MICRO_MODEL, vocab_size=1)})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(**dict(MICRO_MODEL, enc_hidden=2.5)),
+    lambda: ModelConfig(**dict(MICRO_MODEL, enc_layers=True)),
+    lambda: ModelConfig(**dict(MICRO_MODEL, scorer=1)),
+    lambda: RlConfig(num_samples=2.5),
+    lambda: RlConfig(gamma="0.9"),
+    lambda: RlConfig(gamma=True),
+    lambda: RlConfig(gamma=float("nan")),
+    lambda: RlConfig(rl_weight=float("inf")),
+    lambda: micro_train_config(seed=-1),
+    lambda: micro_train_config(seed=1.0),
+    lambda: micro_train_config(learning_rate=float("nan")),
+    lambda: micro_train_config(learning_rate=float("inf")),
+])
+def test_config_fields_are_checked(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 def test_mle_training_reduces_loss(mle_run):
     config, _, _, result = mle_run
     assert len(result.metrics) >= 2
@@ -145,18 +165,23 @@ def test_memorizes_two_utterances():
 
 
 def test_evaluate_agrees_with_greedy(micro_corpus):
-    _, train, _ = micro_corpus
+    vocab, _, _ = micro_corpus
+    # more utterances than one encoder chunk, of mixed lengths
+    corpus = generate_corpus(vocab, training._EVAL_CHUNK + 3, (2, 4), frames_per_symbol=4,
+                             noise_sigma=0.05, seed=17, feature_dim=4)
     config = ModelConfig(**MICRO_MODEL)
     params = init_params(config, 3)
-    result = evaluate(train, params, config, beam=1)
-    assert len(result.rows) == len(train)
-    for utt, row in zip(train, result.rows):
-        hyp = greedy_decode(utt.features, params, config)
-        assert row.hypothesis == train.vocab.to_string(hyp.graphemes)
-        assert row.reference == train.vocab.to_string(utt.transcript)
-    assert 0.0 <= result.cer
-    wide = evaluate(train, params, config, beam=2)
-    assert 0.0 <= wide.cer
+    for beam in (1, 3):
+        result = evaluate(corpus, params, config, beam=beam)
+        assert len(result.rows) == len(corpus)
+        for utt, row in zip(corpus, result.rows):
+            hyp = (greedy_decode(utt.features, params, config) if beam == 1
+                   else beam_search(utt.features, params, config, beam=beam))
+            assert row.uid == utt.uid
+            assert row.hypothesis == vocab.to_string(hyp.graphemes)
+            assert row.reference == vocab.to_string(utt.transcript)
+            assert row.distance == edit_distance(hyp.graphemes, utt.transcript)
+        assert 0.0 <= result.cer
 
 
 def test_corpus_model_mismatch_is_rejected(micro_corpus):
@@ -206,6 +231,65 @@ def _batch_uids(train, config, tag, epoch=1):
     order = np.random.default_rng([config.seed, tag, epoch]).permutation(len(train))
     return [[train.utterances[int(i)].uid for i in order[k:k + config.batch_size]]
             for k in range(0, len(train), config.batch_size)]
+
+
+def test_each_utterance_backward_stops_at_the_batch_encoder(mle_run, monkeypatch):
+    # one encoder node per batch; each utterance's backward runs through its
+    # own decoder graph only, before the next utterance's loss is built, and
+    # one backward per batch, after the batch's last utterance, runs the encoder
+    _, train, dev, mle_result = mle_run
+    config = micro_train_config(batch_size=4)
+    events = []
+    real_encode, real_backward = training.encode, ad.backward
+    real_log_prob = training.sequence_log_prob
+
+    def reachable(loss):
+        # maps id to node, keeping the nodes alive so that no id is reused
+        seen, stack = {}, [loss.node]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(t.node for t in node.inputs if t.node is not None)
+        return seen
+
+    def encode(*args):
+        encs = real_encode(*args)
+        if encs[0].states.node is not None:  # dev evaluation records nothing
+            events.append(("encode", id(encs[0].states.node)))
+        return encs
+
+    def sequence_log_prob(*args, **kwargs):
+        events.append(("loss", None))  # each utterance's loss starts here
+        return real_log_prob(*args, **kwargs)
+
+    def backward(loss):
+        events.append(("backward", reachable(loss)))
+        real_backward(loss)
+
+    monkeypatch.setattr(training, "encode", encode)
+    monkeypatch.setattr(training, "sequence_log_prob", sequence_log_prob)
+    monkeypatch.setattr(ad, "backward", backward)
+    train_rl(train, dev, config, mle_result.checkpoint)
+
+    sizes = [len(b) for b in _batch_uids(train, config, training._TAG_SHUFFLE_RL)]
+    assert sizes == [4, len(train) - 4]
+    expected = []
+    for size in sizes:
+        expected += ["encode"] + ["loss", "backward"] * size + ["backward"]
+    assert [kind for kind, _ in events] == expected
+    events = [event for event in events if event[0] != "loss"]
+    decoder_nodes, k = set(), 0
+    for size in sizes:
+        encoder = events[k][1]
+        for _, nodes in events[k + 1:k + 1 + size]:
+            # an utterance's decoder graph, shared with no other utterance
+            assert encoder not in nodes and decoder_nodes.isdisjoint(nodes)
+            decoder_nodes |= set(nodes)
+        # the batch's own backward: the resume node and the encoder node
+        nodes = events[k + 1 + size][1]
+        assert encoder in nodes and len(nodes) == 2
+        k += size + 2
 
 
 def test_non_finite_gradient_names_parameter_and_batch(micro_corpus):
