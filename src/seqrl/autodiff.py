@@ -5,8 +5,8 @@ its output tensors, and a backward rule. ``backward(loss)`` replays the nodes
 reachable from the loss in exact reverse creation order and accumulates
 gradients into leaf tensors created with ``requires_grad=True``.
 
-All arrays are float64 and row-major. Binary elementwise ops require equal
-shapes; the only broadcast is the explicit bias-row addition ``add_row``.
+All arrays are float64 and row-major. ``add`` requires equal shapes and
+broadcasts nothing.
 """
 
 from __future__ import annotations
@@ -169,31 +169,15 @@ def backward(loss: Tensor) -> None:
 # operations
 
 
-def _check_equal_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_equal_shapes(a, b, "add")
+    if a.shape != b.shape:
+        raise ValueError(f"add requires equal shapes, got {a.shape} and {b.shape}")
 
     def bwd(gs, sink):
         sink(a, gs[0])
         sink(b, gs[0])
 
     return _make([a.data + b.data], [a, b], bwd)[0]
-
-
-def add_row(mat: Tensor, row: Tensor) -> Tensor:
-    """Add a 1-D row vector to every row of a 2-D matrix (explicit broadcast)."""
-    if mat.data.ndim != 2 or row.data.ndim != 1 or mat.shape[1] != row.shape[0]:
-        raise ValueError(f"add_row requires (n, d) + (d,), got {mat.shape} and {row.shape}")
-
-    def bwd(gs, sink):
-        sink(mat, gs[0])
-        sink(row, gs[0].sum(axis=0))
-
-    return _make([mat.data + row.data], [mat, row], bwd)[0]
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -232,93 +216,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make([ad @ bd], [a, b], bwd)[0]
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(gs, sink):
-        sink(a, gs[0] * (1.0 - out * out))
-
-    return _make([out], [a], bwd)[0]
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over a 1-D vector, computed with max subtraction."""
-    if a.data.ndim != 1:
-        raise ValueError(f"softmax expects a 1-D tensor, got shape {a.shape}")
-    shifted = a.data - np.max(a.data)
-    e = np.exp(shifted)
-    out = e / e.sum()
-
-    def bwd(gs, sink):
-        g = gs[0]
-        sink(a, out * (g - np.dot(out, g)))
-
-    return _make([out], [a], bwd)[0]
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax over a 1-D vector, computed with max subtraction."""
-    if a.data.ndim != 1:
-        raise ValueError(f"log_softmax expects a 1-D tensor, got shape {a.shape}")
-    shifted = a.data - np.max(a.data)
-    lse = np.log(np.sum(np.exp(shifted)))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def bwd(gs, sink):
-        g = gs[0]
-        sink(a, g - soft * g.sum())
-
-    return _make([out], [a], bwd)[0]
-
-
-def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Select rows of a 2-D table; backward scatter-adds (repeats accumulate)."""
-    if table.data.ndim != 2:
-        raise ValueError(f"gather_rows expects a 2-D table, got shape {table.shape}")
-    idx = np.asarray(list(ids), dtype=np.int64)
-    n = table.shape[0]
-    for i in idx:
-        if i < 0 or i >= n:
-            raise IndexError(f"row id {int(i)} out of range [0, {n})")
-
-    def bwd(gs, sink):
-        g = np.zeros_like(table.data)
-        np.add.at(g, idx, gs[0])
-        sink(table, g)
-
-    return _make([table.data[idx]], [table], bwd)[0]
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate 1-D or 2-D tensors along an axis; backward splits."""
-    if not parts:
-        raise ValueError("concat requires at least one tensor")
-    nd = parts[0].data.ndim
-    if any(p.data.ndim != nd for p in parts):
-        raise ValueError("concat requires tensors of equal rank")
-    if axis < 0 or axis >= nd:
-        raise ValueError(f"concat axis {axis} invalid for rank {nd}")
-    sizes = [p.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def bwd(gs, sink):
-        for p, piece in zip(parts, np.split(gs[0], bounds, axis=axis)):
-            sink(p, piece)
-
-    return _make([np.concatenate([p.data for p in parts], axis=axis)], list(parts), bwd)[0]
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    orig = a.data.shape
-
-    def bwd(gs, sink):
-        sink(a, gs[0].reshape(orig))
-
-    return _make([a.data.reshape(shape)], [a], bwd)[0]
-
-
 def sum_all(a: Tensor) -> Tensor:
     """Sum all elements to a 0-D scalar, left to right (numpy's sum is pairwise),
     so a sum of step log-probs has the bits of a running total over them."""
@@ -352,73 +249,3 @@ def resume(pairs: Sequence[tuple[Tensor, np.ndarray | None]]) -> Tensor:
             sink(t, g)
 
     return _make([np.zeros(())], [t for t, _ in pairs], bwd)[0]
-
-
-# ---------------------------------------------------------------------------
-# fused LSTM ops
-#
-# Gate layout along the 4H axis is [input, forget, cell, output]. The fused
-# forward/backward keeps the per-step python overhead off the tape, which is
-# what makes desk-scale training runs fit their time budget.
-
-
-def _lstm_gates(pre: np.ndarray, hidden: int, out: np.ndarray | None = None):
-    """The four gates of ``pre``, as views of one array (``out`` if given):
-    sigmoids, computed as 0.5 * (1 + tanh(pre / 2)), and tanh for the cell."""
-    act = np.multiply(pre, 0.5, out=out)
-    np.tanh(act, out=act)
-    act += 1.0
-    act *= 0.5
-    np.tanh(pre[..., 2 * hidden:3 * hidden], out=act[..., 2 * hidden:3 * hidden])
-    return tuple(act[..., k * hidden:(k + 1) * hidden] for k in range(4))
-
-
-def _lstm_grads(dh, dc, c_prev, i, f, g, o, tc):
-    """Backward through one LSTM step's gates.
-
-    dh and dc are the gradients reaching the step's new hidden and cell
-    states from outside the cell; tc is tanh of the new cell state. Returns
-    the gradient of the gate preactivations and the total gradient of the
-    new cell state (times f, that is the gradient of the previous one).
-    """
-    dc = dc + dh * o * (1.0 - tc * tc)
-    da = np.concatenate([
-        dc * g * i * (1.0 - i),
-        dc * c_prev * f * (1.0 - f),
-        dc * i * (1.0 - g * g),
-        dh * tc * o * (1.0 - o),
-    ], axis=-1)
-    return da, dc
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              w_ih: Tensor, w_hh: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step. Returns (h_next, c_next).
-
-    x: (din,), h_prev/c_prev: (H,), w_ih: (din, 4H), w_hh: (H, 4H), b: (4H,).
-    """
-    hidden = h_prev.shape[0]
-    if w_ih.data.ndim != 2 or w_ih.shape[0] != x.shape[0] or w_ih.shape[1] != 4 * hidden:
-        raise ValueError(f"lstm_cell w_ih shape {w_ih.shape} does not match x {x.shape}, H={hidden}")
-    if w_hh.shape != (hidden, 4 * hidden):
-        raise ValueError(f"lstm_cell w_hh shape {w_hh.shape} must be ({hidden}, {4 * hidden})")
-    if b.shape != (4 * hidden,):
-        raise ValueError(f"lstm_cell bias shape {b.shape} must be ({4 * hidden},)")
-
-    xd, hd, cd = x.data, h_prev.data, c_prev.data
-    pre = xd @ w_ih.data + hd @ w_hh.data + b.data
-    i, f, g, o = _lstm_gates(pre, hidden)
-    c_new = f * cd + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-
-    def bwd(gs, sink):
-        da, dc = _lstm_grads(gs[0], gs[1], cd, i, f, g, o, tc)
-        sink(x, da @ w_ih.data.T)
-        sink(h_prev, da @ w_hh.data.T)
-        sink(c_prev, dc * f)
-        sink(w_ih, np.outer(xd, da))
-        sink(w_hh, np.outer(hd, da))
-        sink(b, da)
-
-    return tuple(_make([h_new, c_new], [x, h_prev, c_prev, w_ih, w_hh, b], bwd))

@@ -19,10 +19,10 @@ import click
 from . import oracles
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, load_checkpoint, validate_checkpoint
-from .data import (char32_vocabulary, default_vocabulary, generate_splits,
+from .data import (_atomic_open, char32_vocabulary, default_vocabulary, generate_splits,
                    load_corpus, save_corpus, split_paths)
 from .decoding import beam_search, greedy_decode
-from .errors import ParseError, ToolkitError
+from .errors import ConfigError, ParseError, ToolkitError
 from .model import ModelConfig
 from .training import (TrainConfig, _check_corpus, _tensors_from_arrays,
                        evaluate, train_mle, train_rl)
@@ -91,6 +91,8 @@ def _load_train_config(config_path: str, train_corpus, seed: int | None,
     if not isinstance(raw, dict):
         raise ParseError(f"config file {config_path} must hold a JSON object")
     file_out_dir = raw.pop("out_dir", None)
+    if file_out_dir is not None and not isinstance(file_out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {file_out_dir!r}")
     if isinstance(raw.get("model"), dict) and "vocab_size" not in raw["model"]:
         raw["model"]["vocab_size"] = train_corpus.vocab.model_vocab_size
     config = TrainConfig.from_dict(raw)
@@ -166,7 +168,7 @@ def evaluate_cmd(ckpt_path, corpus_path, beam, report_path):
     _check_corpus(corpus, config, "evaluation")
     result = evaluate(corpus, params, config, beam=beam)
     if report_path:
-        with open(report_path, "w", encoding="utf-8", newline="") as fh:
+        with _atomic_open(report_path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["uid", "reference", "hypothesis", "distance"])
             writer.writerows([r.uid, r.reference, r.hypothesis, r.distance]

@@ -1,7 +1,8 @@
 """Synthetic grapheme-to-frames corpus and line-delimited corpus files.
 
 The text-file layer here (line reader, ``key value`` parser, 17-digit float
-formatter, line writer) is shared with checkpoints and metrics files.
+formatter, atomic line writer) is shared with checkpoints, metrics files and
+evaluation reports.
 
 Each grapheme owns a fixed random prototype feature vector; an utterance
 emits frames_per_symbol noisy copies of the prototype per transcript symbol.
@@ -11,7 +12,9 @@ lookup, which anchors the data-path tests.
 
 from __future__ import annotations
 
+import os
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +214,27 @@ def _f17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+@contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces ``path`` only once the block completes.
+
+    The block writes a temporary file next to ``path``, which is then
+    renamed over it. If the block or the rename fails, the temporary file is
+    removed and any previous ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -267,6 +289,8 @@ def load_corpus(path: str) -> Corpus:
         feature_dim = int(_expect_kv(reader, "feature_dim"))
     except ValueError:
         raise ParseError("feature_dim must be an integer", reader.line_no) from None
+    if feature_dim < 1:
+        raise ParseError(f"feature_dim must be positive, got {feature_dim}", reader.line_no)
     symbols = tuple(_expect_kv(reader, "symbols").split())
     try:
         eos_id = int(_expect_kv(reader, "eos_id"))
@@ -274,6 +298,8 @@ def load_corpus(path: str) -> Corpus:
         n_utts = int(_expect_kv(reader, "utterances"))
     except ValueError:
         raise ParseError("expected an integer value", reader.line_no) from None
+    if n_utts < 0:
+        raise ParseError(f"utterance count must be non-negative, got {n_utts}", reader.line_no)
     try:
         vocab = Vocabulary(symbols=symbols, eos_id=eos_id, sos_id=sos_id)
     except ConfigError as exc:

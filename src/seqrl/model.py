@@ -131,21 +131,6 @@ class EncoderStates:
     mlp_proj: Tensor | None = None  # (S', mlp_hidden), mlp scorer only
 
 
-@dataclass
-class DecoderState:
-    h: Tensor
-    c: Tensor
-    prev_context: Tensor
-
-
-def initial_decoder_state(config: ModelConfig) -> DecoderState:
-    return DecoderState(
-        h=ad.constant(np.zeros(config.dec_hidden)),
-        c=ad.constant(np.zeros(config.dec_hidden)),
-        prev_context=ad.constant(np.zeros(config.enc_out_dim)),
-    )
-
-
 def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[EncoderStates]:
     """Run the bidirectional pyramid encoder over a batch of utterances.
 
@@ -226,6 +211,36 @@ def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[Enc
             for u, r in enumerate(rank)]
 
 
+def _lstm_gates(pre: np.ndarray, hidden: int, out: np.ndarray | None = None):
+    """The four gates of ``pre``, laid out along its last axis as [input,
+    forget, cell, output], as views of one array (``out`` if given):
+    sigmoids, computed as 0.5 * (1 + tanh(pre / 2)), and tanh for the cell."""
+    act = np.multiply(pre, 0.5, out=out)
+    np.tanh(act, out=act)
+    act += 1.0
+    act *= 0.5
+    np.tanh(pre[..., 2 * hidden:3 * hidden], out=act[..., 2 * hidden:3 * hidden])
+    return tuple(act[..., k * hidden:(k + 1) * hidden] for k in range(4))
+
+
+def _lstm_grads(dh, dc, c_prev, i, f, g, o, tc):
+    """Backward through one LSTM step's gates.
+
+    dh and dc are the gradients reaching the step's new hidden and cell
+    states from outside the cell; tc is tanh of the new cell state. Returns
+    the gradient of the gate preactivations and the total gradient of the
+    new cell state (times f, that is the gradient of the previous one).
+    """
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = np.concatenate([
+        dc * g * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        dc * i * (1.0 - g * g),
+        dh * tc * o * (1.0 - o),
+    ], axis=-1)
+    return da, dc
+
+
 def _bilstm(xs, w_ih, w_hh, b):
     """One bidirectional LSTM layer over rows sorted longest first.
 
@@ -253,7 +268,7 @@ def _bilstm(xs, w_ih, w_hh, b):
             n -= 1
         act = gates[:, :n, t]
         # (2, n, 1, H) @ (2, 1, H, 4H): one vector-matrix product per row
-        i, f, g, o = ad._lstm_gates(act + (h[:, :n, None, :] @ w_rec)[:, :, 0], hidden, out=act)
+        i, f, g, o = _lstm_gates(act + (h[:, :n, None, :] @ w_rec)[:, :, 0], hidden, out=act)
         c = np.add(f * c[:, :n], i * g, out=cells[:, :n, t])
         h = np.multiply(o, np.tanh(c), out=out[:, :n, t])
     outs = [np.concatenate([out[0, r, :s], out[1, r, s - 1::-1]], axis=1)
@@ -308,40 +323,60 @@ def _bilstm_backward(d_out, xs, gates, cells, w_ih, w_hh):
     return np.split(d_x, np.cumsum(lengths)[:-1]), grads
 
 
-def attend(enc: EncoderStates, h_dec: Tensor, params: dict[str, Tensor],
-           config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Softmax alignment over encoder frames and the resulting context vector."""
-    henc = enc.states
+@dataclass
+class DecoderState:
+    h: np.ndarray
+    c: np.ndarray
+    prev_context: np.ndarray
+
+
+def initial_decoder_state(config: ModelConfig) -> DecoderState:
+    return DecoderState(h=np.zeros(config.dec_hidden), c=np.zeros(config.dec_hidden),
+                        prev_context=np.zeros(config.enc_out_dim))
+
+
+def attend(enc: EncoderStates, h_dec: np.ndarray, params: dict[str, Tensor],
+           config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax alignment over encoder frames and the resulting context vector,
+    for one decoder state."""
+    henc = enc.states.data
     if config.scorer == "dot":
-        scores = ad.matmul(henc, h_dec)
+        scores = henc @ h_dec
     elif config.scorer == "bilinear":
-        scores = ad.matmul(henc, ad.matmul(params["att.bilinear.w"], h_dec))
+        scores = henc @ (params["att.bilinear.w"].data @ h_dec)
     else:
-        pre = ad.add_row(enc.mlp_proj, ad.matmul(h_dec, params["att.mlp.w_dec"]))
-        scores = ad.matmul(ad.tanh(pre), params["att.mlp.v"])
-    alignment = ad.softmax(scores)
-    context = ad.matmul(alignment, henc)
-    return context, alignment
+        pre = enc.mlp_proj.data + h_dec @ params["att.mlp.w_dec"].data
+        scores = np.tanh(pre) @ params["att.mlp.v"].data
+    e = np.exp(scores - np.max(scores))
+    alignment = e / e.sum()
+    return alignment @ henc, alignment
 
 
 def decode_step(prev_id: int, state: DecoderState, enc: EncoderStates,
-                params: dict[str, Tensor], config: ModelConfig) -> tuple[Tensor, DecoderState]:
+                params: dict[str, Tensor], config: ModelConfig) -> tuple[np.ndarray, DecoderState]:
     """Advance the decoder by one symbol; returns (log_probs, new_state).
 
     The LSTM consumes [embed(prev_id); previous context]; attention runs on
-    the new hidden state; logits read [hidden; context].
+    the new hidden state; logits read [hidden; context]. This is the
+    per-step reference that the tests hold the rollout and beam search to,
+    bit for bit: plain numpy, one vector at a time, recording nothing on the
+    tape. No library code calls it or ``attend``; the benchmark's tracer
+    looks both up by name.
     """
     prev_id = int(prev_id)
     if prev_id < 0 or prev_id > config.sos_id:
         raise IndexError(f"symbol id {prev_id} out of range [0, {config.sos_id}]")
-    emb = ad.reshape(ad.gather_rows(params["dec.embed.w"], [prev_id]), (config.embed_dim,))
-    x = ad.concat([emb, state.prev_context])
-    h_new, c_new = ad.lstm_cell(x, state.h, state.c, params["dec.lstm.w_ih"],
-                                params["dec.lstm.w_hh"], params["dec.lstm.b"])
+    x = np.concatenate([params["dec.embed.w"].data[prev_id], state.prev_context])
+    pre = (x @ params["dec.lstm.w_ih"].data + state.h @ params["dec.lstm.w_hh"].data
+           + params["dec.lstm.b"].data)
+    i, f, g, o = _lstm_gates(pre, config.dec_hidden)
+    c_new = f * state.c + i * g
+    h_new = o * np.tanh(c_new)
     context, _ = attend(enc, h_new, params, config)
-    logits = ad.add(ad.matmul(ad.concat([h_new, context]), params["dec.out.w"]),
-                    params["dec.out.b"])
-    log_probs = ad.log_softmax(logits)
+    logits = (np.concatenate([h_new, context]) @ params["dec.out.w"].data
+              + params["dec.out.b"].data)
+    shifted = logits - np.max(logits)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted)))
     return log_probs, DecoderState(h=h_new, c=c_new, prev_context=context)
 
 
@@ -374,7 +409,7 @@ def _step_rows(enc: EncoderStates, params, config: ModelConfig, prev: np.ndarray
     x = np.concatenate([params["dec.embed.w"].data[prev], ctx], axis=1)
     pre = (_gemv_rows(x, params["dec.lstm.w_ih"].data)
            + _gemv_rows(h, params["dec.lstm.w_hh"].data) + params["dec.lstm.b"].data)
-    i, f, g, o = ad._lstm_gates(pre, hd)
+    i, f, g, o = _lstm_gates(pre, hd)
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
@@ -499,7 +534,7 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
                 dq = d_pre.sum(axis=1)
                 d_w_dec += h_new.T @ dq
                 dh_t += dq @ w_dec.data.T
-            da, dc_t = ad._lstm_grads(dh_t, dc[rows], c_prev, i, f, g, o, tc)
+            da, dc_t = _lstm_grads(dh_t, dc[rows], c_prev, i, f, g, o, tc)
             xs.append(x)
             hs.append(h_prev)
             das.append(da)

@@ -67,21 +67,6 @@ def l2_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8)
     return float(np.linalg.norm(analytic - numeric)) / denom
 
 
-def check_op_gradients(f, tensors: list[Tensor], h: float = 1e-5,
-                       floor: float = 1e-8) -> float:
-    """Backward vs central differences for one scalar-valued graph."""
-    for t in tensors:
-        t.zero_grad()
-    loss = f()
-    ad.backward(loss)
-    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-    numeric = finite_difference(f, tensors, h=h)
-    err = max(max_rel_error(a, n, floor=floor) for a, n in zip(analytic, numeric))
-    for t in tensors:
-        t.zero_grad()
-    return err
-
-
 @dataclass(frozen=True)
 class TinyTask:
     """A fixed small model plus one utterance, shared by the oracle checks."""

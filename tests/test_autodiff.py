@@ -5,13 +5,24 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from seqrl import autodiff as ad
-from seqrl.oracles import check_op_gradients, finite_difference, max_rel_error
+from seqrl.model import _rollout, encode
+from seqrl.oracles import finite_difference, max_rel_error
 
 TOL = 1e-6
+
+
+def check_op_gradients(f, tensors, h=1e-5, floor=1e-8):
+    """Backward vs central differences for one scalar-valued graph."""
+    for t in tensors:
+        t.zero_grad()
+    ad.backward(f())
+    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    numeric = finite_difference(f, tensors, h=h)
+    for t in tensors:
+        t.zero_grad()
+    return max(max_rel_error(a, n, floor=floor) for a, n in zip(analytic, numeric))
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -19,9 +30,13 @@ def rand(*shape, seed=0, scale=1.0):
 
 
 def sum_sq(t):
-    """Sum of squares as one dot product of the flattened tensor with itself."""
-    flat = ad.reshape(t, (t.data.size,))
-    return ad.matmul(flat, flat)
+    """A scalar quadratic in t: the sum of squares of a vector, of t @ v for a
+    fixed vector v when t is a matrix; a 0-D t is returned as it is."""
+    if t.data.ndim == 0:
+        return t
+    if t.data.ndim == 2:
+        t = ad.matmul(t, ad.constant(np.random.default_rng(99).normal(size=t.shape[1])))
+    return ad.matmul(t, t)
 
 
 def test_tensor_basics():
@@ -75,130 +90,10 @@ def test_matmul_gradients(shapes):
     assert check_op_gradients(lambda: sum_sq(ad.matmul(a, b)), [a, b]) <= TOL
 
 
-@pytest.mark.parametrize("fn", [ad.tanh])
-def test_pointwise_gradients(fn):
-    a = rand(4, seed=3)
-    assert check_op_gradients(lambda: sum_sq(fn(a)), [a]) <= TOL
-
-
-def test_pointwise_known_values():
-    assert ad.tanh(ad.tensor(np.array(0.0))).item() == 0.0
-
-
-def test_add_row_broadcasts_explicitly():
-    m = ad.tensor(np.zeros((2, 3)))
-    r = ad.tensor(np.array([1.0, 2.0, 3.0]))
-    out = ad.add_row(m, r)
-    np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    mp, rp = rand(2, 3, seed=4), rand(3, seed=5)
-    assert check_op_gradients(lambda: sum_sq(ad.add_row(mp, rp)), [mp, rp]) <= TOL
-
-
-def test_softmax_uniform_and_sum():
-    np.testing.assert_allclose(ad.softmax(ad.tensor([0.0, 0.0])).data, [0.5, 0.5])
-    np.testing.assert_allclose(ad.log_softmax(ad.tensor([0.0] * 4)).data,
-                               np.full(4, -np.log(4.0)), atol=1e-15)
-    out = ad.softmax(rand(9, seed=6, scale=3.0))
-    assert out.data.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_softmax_shift_invariance_is_exact():
-    # max subtraction makes huge inputs equal their shifted versions bitwise
-    big = ad.softmax(ad.tensor([1000.0, 1000.5])).data
-    small = ad.softmax(ad.tensor([0.0, 0.5])).data
-    assert np.array_equal(big, small)
-    assert np.all(np.isfinite(big)) and big.sum() == pytest.approx(1.0)
-
-
-def test_softmax_log_softmax_consistency():
-    x = rand(7, seed=7, scale=2.0)
-    np.testing.assert_allclose(np.exp(ad.log_softmax(x).data), ad.softmax(x).data, atol=1e-12)
-
-
-@pytest.mark.parametrize("fn", [ad.softmax, ad.log_softmax])
-def test_softmax_gradients(fn):
-    a = rand(5, seed=8)
-    w = ad.constant(np.random.default_rng(9).normal(size=5))
-    assert check_op_gradients(lambda: ad.matmul(fn(a), w), [a]) <= TOL
-
-
-@given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_softmax_is_a_distribution(vals):
-    out = ad.softmax(ad.tensor(np.array(vals))).data
-    assert np.all(out >= 0.0)
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gather_rows_forward_and_repeats():
-    table = ad.tensor(np.eye(3))
-    np.testing.assert_array_equal(ad.gather_rows(table, [2]).data, [[0.0, 0.0, 1.0]])
-    t = rand(4, 3, seed=10)
-    out = ad.gather_rows(t, [0, 2, 1])
-    np.testing.assert_array_equal(out.data, t.data[[0, 2, 1]])
-    # repeated ids accumulate gradient on the shared row
-    ad.backward(ad.sum_all(ad.gather_rows(t, [1, 1])))
-    np.testing.assert_array_equal(t.grad[1], [2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(t.grad[0], [0.0, 0.0, 0.0])
-
-
-def test_gather_rows_rejects_bad_id():
-    with pytest.raises(IndexError, match="3"):
-        ad.gather_rows(ad.tensor(np.eye(3)), [3])
-
-
-def test_concat_and_reshape_gradients():
-    a, b = rand(2, 3, seed=11), rand(1, 3, seed=12)
-    out = ad.concat([a, b], axis=0)
-    assert out.shape == (3, 3)
-    assert check_op_gradients(lambda: sum_sq(ad.concat([a, b], axis=0)), [a, b]) <= TOL
-    c = rand(6, seed=13)
-    assert check_op_gradients(lambda: sum_sq(ad.reshape(c, (2, 3))), [c]) <= TOL
-
-
-def test_concat_rejects_rank_mismatch():
-    with pytest.raises(ValueError):
-        ad.concat([ad.tensor(np.zeros(2)), ad.tensor(np.zeros((2, 2)))])
-
-
 def test_scale_is_constant_coefficient():
     v = ad.parameter(np.array([2.0, 3.0]))
     ad.backward(ad.sum_all(ad.scale(v, -2.5)))
     np.testing.assert_array_equal(v.grad, [-2.5, -2.5])
-
-
-def naive_lstm_step(x, h, c, w_ih, w_hh, b):
-    """Plain numpy recurrence used as the oracle for the fused cell."""
-    hidden = h.shape[0]
-    pre = x @ w_ih + h @ w_hh + b
-    i, f, g, o = (pre[0:hidden], pre[hidden:2 * hidden],
-                  pre[2 * hidden:3 * hidden], pre[3 * hidden:])
-    sig = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))
-    c_next = sig(f) * c + sig(i) * np.tanh(g)
-    h_next = sig(o) * np.tanh(c_next)
-    return h_next, c_next
-
-
-def test_lstm_cell_matches_naive_recurrence():
-    rng = np.random.default_rng(14)
-    x, h, c = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
-    w_ih, w_hh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
-    h2, c2 = ad.lstm_cell(*(ad.tensor(v) for v in (x, h, c, w_ih, w_hh, b)))
-    h_ref, c_ref = naive_lstm_step(x, h, c, w_ih, w_hh, b)
-    np.testing.assert_allclose(h2.data, h_ref, atol=1e-14)
-    np.testing.assert_allclose(c2.data, c_ref, atol=1e-14)
-
-
-def test_lstm_cell_gradients():
-    rng = np.random.default_rng(15)
-    args = [ad.parameter(rng.normal(scale=0.7, size=s))
-            for s in [(3,), (4,), (4,), (3, 16), (4, 16), (16,)]]
-
-    def loss():
-        h, c = ad.lstm_cell(*args)
-        return ad.add(sum_sq(h), sum_sq(c))
-
-    assert check_op_gradients(loss, args) <= TOL
 
 
 def test_cut_stops_backward_and_resume_finishes_it():
@@ -207,7 +102,7 @@ def test_cut_stops_backward_and_resume_finishes_it():
     v = rand(3, seed=23)
 
     def upstream():
-        return ad.tanh(ad.matmul(a, w))
+        return ad.matmul(a, w)
 
     def downstream(y):
         return ad.add(sum_sq(y), ad.matmul(y, v))
@@ -236,8 +131,8 @@ def test_cut_stops_backward_and_resume_finishes_it():
 def test_resume_skips_missing_gradients():
     p = ad.parameter(np.array([1.0, 2.0]))
     q = ad.parameter(np.array([3.0]))
-    ad.backward(ad.resume([(ad.tanh(p), np.array([1.0, -1.0])), (ad.tanh(q), None)]))
-    np.testing.assert_allclose(p.grad, [1.0, -1.0] * (1.0 - np.tanh(p.data) ** 2), atol=1e-15)
+    ad.backward(ad.resume([(ad.scale(p, 3.0), np.array([1.0, -1.0])), (ad.scale(q, 3.0), None)]))
+    np.testing.assert_array_equal(p.grad, [3.0, -3.0])
     assert q.grad is None
 
 
@@ -271,20 +166,24 @@ def test_gradients_accumulate_across_separate_graphs():
 
 def test_shared_subexpression_accumulates_through_fanout():
     p = ad.parameter(np.array([1.0, 2.0]))
-    y = ad.tanh(p)
+    m = np.array([[0.5, -1.0], [2.0, 0.25], [1.5, 3.0]])
+    y = ad.matmul(ad.constant(m), p)
     loss = ad.add(ad.matmul(y, y), ad.sum_all(y))
     ad.backward(loss)
-    expected = (2.0 * np.tanh(p.data) + 1.0) * (1.0 - np.tanh(p.data) ** 2)
-    np.testing.assert_allclose(p.grad, expected, atol=1e-14)
+    np.testing.assert_allclose(p.grad, m.T @ (2.0 * (m @ p.data) + 1.0), atol=1e-14)
 
 
-def test_backward_frees_saved_arrays_without_gc():
+def test_backward_frees_saved_arrays_without_gc(tiny_model):
     # a node and its outputs reference each other; backward must drop the
     # closure itself so its saved arrays do not wait for the cyclic collector
-    p = ad.parameter(np.random.default_rng(19).normal(size=4))
-    out = ad.log_softmax(p)
-    saved = [cell.cell_contents for cell in out.node.backward_fn.__closure__
-             if isinstance(cell.cell_contents, np.ndarray)]
+    config, params = tiny_model
+    enc = encode([np.random.default_rng(19).normal(size=(4, config.feature_dim))],
+                 params, config)[0]
+    _, out = _rollout(enc, params, config, 3, 2, lambda lp, _rows, _step: np.argmax(lp, axis=1))
+    bwd = out.node.backward_fn
+    cache = dict(zip(bwd.__code__.co_freevars, bwd.__closure__))["cache"].cell_contents
+    saved = [arr for entry in cache for arr in entry if isinstance(arr, np.ndarray)]
+    del bwd, cache
     assert saved
     refs = [weakref.ref(arr) for arr in saved]
     del saved
@@ -313,10 +212,20 @@ def test_no_grad_suppresses_taping():
 
 def test_no_grad_forward_values_are_bitwise_identical():
     p = ad.parameter(np.random.default_rng(18).normal(size=6))
-    tracked = ad.softmax(ad.tanh(p)).data
+    m = ad.constant(np.random.default_rng(20).normal(size=(6, 5)))
+    tracked = ad.matmul(p, m).data
     with ad.no_grad():
-        untracked = ad.softmax(ad.tanh(p)).data
+        untracked = ad.matmul(p, m).data
     assert np.array_equal(tracked, untracked)
+
+
+def test_gradient_comparison_detects_mismatches():
+    t = ad.parameter(np.array([0.3, -0.7]))
+    good = check_op_gradients(lambda: ad.scale(ad.matmul(t, t), 0.5), [t])
+    assert good < 1e-8
+    # a wrong analytic gradient (here off by 2x) cannot slip past the metric
+    numeric = finite_difference(lambda: 0.5 * float(t.data @ t.data), [t])[0]
+    assert max_rel_error(2.0 * t.data, numeric) > 0.4
 
 
 def test_finite_difference_helper_linearity():

@@ -95,6 +95,7 @@ def test_seed_option_overrides_config(workspace):
     {"rl": {**CONFIG["rl"], "num_samples": 2.5}},
     {"seed": -1},
     {"learning_rate": float("nan")},  # json.dumps writes NaN, which json.load reads
+    {"out_dir": 5},  # rejected even though --out-dir overrides it
 ])
 def test_train_rejects_mistyped_config_before_training(workspace, tmp_path, override):
     root, runner, _ = workspace

@@ -1,9 +1,11 @@
 """Synthetic corpus generation, CER, and the corpus file format."""
 
+import os
+
 import numpy as np
 import pytest
 
-from seqrl.data import (Corpus, Utterance, Vocabulary, cer, char32_vocabulary,
+from seqrl.data import (Corpus, Utterance, Vocabulary, _atomic_open, cer, char32_vocabulary,
                         corpus_cer, default_vocabulary, generate_corpus,
                         generate_splits, load_corpus, prototype_matrix,
                         save_corpus, split_paths)
@@ -229,6 +231,17 @@ def test_load_rejects_structural_damage(tmp_path):
     with pytest.raises(ParseError, match="non-numeric"):
         load_corpus(str(path))
 
+    # header counts out of range, each named with its line
+    for line_no, damaged, message in ((2, "feature_dim 0", "feature_dim must be positive"),
+                                      (2, "feature_dim -3", "feature_dim must be positive"),
+                                      (6, "utterances -1", "utterance count")):
+        bad = list(lines)
+        bad[line_no - 1] = damaged
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_corpus(str(path))
+        assert excinfo.value.line == line_no
+
 
 def test_load_rejects_schema_violations(tmp_path):
     path, lines = corpus_file_lines(tmp_path)
@@ -246,6 +259,23 @@ def test_load_rejects_schema_violations(tmp_path):
     path.write_text("\n".join(bad) + "\n")
     with pytest.raises(SchemaError, match="non-grapheme"):
         load_corpus(str(path))
+
+
+def test_failed_write_leaves_the_previous_file(tmp_path):
+    path, _ = corpus_file_lines(tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="disk full"):
+        with _atomic_open(str(path)) as fh:
+            fh.write("corpus v1\nfeature_dim 3\n")
+            raise RuntimeError("disk full")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
+    # a rename that fails (here onto a directory) cleans up the same way
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(OSError):
+        save_corpus(load_corpus(str(path)), str(tmp_path / "sub"))
+    assert sorted(os.listdir(tmp_path)) == [path.name, "sub"]
+    assert os.listdir(tmp_path / "sub") == []
 
 
 def test_split_paths_convention():

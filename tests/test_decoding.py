@@ -195,7 +195,7 @@ def test_decoders_reject_max_len_below_one(tiny_model, max_len):
 def test_library_decoders_skip_the_stepwise_decoder(tiny_model, monkeypatch):
     # replace every seqrl module's reference, as the benchmark's tracer does
     def forbidden(*_args, **_kwargs):
-        raise AssertionError("the taped per-step decoder ran")
+        raise AssertionError("the per-step reference decoder ran")
 
     for name in ("decode_step", "attend"):
         original = getattr(model, name)
@@ -262,7 +262,7 @@ def test_beam_rejects_bad_width(tiny_model):
 
 
 # ---------------------------------------------------------------------------
-# the row-batched rollout against the taped single-step reference
+# the row-batched rollout against the per-step reference
 
 
 def scorer_config(scorer, vocab=4):
@@ -280,7 +280,7 @@ def stepwise_log_probs(feats, symbols, params, config):
         out = []
         for y in symbols:
             log_probs, state = decode_step(prev, state, enc, params, config)
-            out.append(float(log_probs.data[y]))
+            out.append(float(log_probs[y]))
             prev = y
     return tuple(out)
 
@@ -299,7 +299,7 @@ def stepwise_beam_search(feats, params, config, beam, max_len=None):
             for graphemes, lps, cum, state, prev in live:
                 log_probs, new_state = decode_step(prev, state, enc, params, config)
                 for y in range(config.vocab_size):
-                    lp = float(log_probs.data[y])
+                    lp = float(log_probs[y])
                     pool.append((cum + lp, graphemes + (y,), lps + (lp,), new_state, y))
             pool.sort(key=lambda item: (-item[0], item[1]))
             live = []

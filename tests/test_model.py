@@ -14,14 +14,13 @@ from seqrl.model import (ModelConfig, attend, count_params, decode_step,
 
 
 def attention_score(h_enc, h_dec, params, config):
-    """Per-row reference scorer: one encoder state against one decoder state (0-D)."""
+    """Per-row reference scorer: one encoder state against one decoder state."""
     if config.scorer == "dot":
-        return ad.matmul(h_enc, h_dec)
+        return float(h_enc @ h_dec)
     if config.scorer == "bilinear":
-        return ad.matmul(h_enc, ad.matmul(params["att.bilinear.w"], h_dec))
-    pre = ad.add(ad.matmul(h_enc, params["att.mlp.w_enc"]),
-                 ad.matmul(h_dec, params["att.mlp.w_dec"]))
-    return ad.matmul(ad.tanh(pre), params["att.mlp.v"])
+        return float(h_enc @ (params["att.bilinear.w"].data @ h_dec))
+    pre = h_enc @ params["att.mlp.w_enc"].data + h_dec @ params["att.mlp.w_dec"].data
+    return float(np.tanh(pre) @ params["att.mlp.v"].data)
 
 
 def zero_params(config):
@@ -173,13 +172,13 @@ def test_encode_gradients_match_finite_differences(scorer):
     feats = [rng.normal(size=(s, config.feature_dim)) for s in (5, 2, 7, 5)]
     encs = encode(feats, params, config)
     outputs = [t for e in encs for t in (e.states, e.mlp_proj) if t is not None]
-    weights = [rng.normal(size=t.shape) for t in outputs]
+    # u @ T @ v for fixed random vectors u and v, summed over the outputs
+    weights = [(rng.normal(size=t.shape[0]), rng.normal(size=t.shape[1])) for t in outputs]
 
     def loss(tensors):
         total = ad.constant(np.zeros(()))
-        for t, w in zip(tensors, weights):
-            total = ad.add(total, ad.matmul(ad.reshape(t, (t.data.size,)),
-                                            ad.constant(w.reshape(-1))))
+        for t, (u, v) in zip(tensors, weights):
+            total = ad.add(total, ad.matmul(ad.matmul(ad.constant(u), t), ad.constant(v)))
         return total
 
     def value():
@@ -204,7 +203,7 @@ def test_zero_params_give_zero_states_and_uniform_outputs():
     np.testing.assert_array_equal(enc.states.data, np.zeros((3, 6)))
     log_probs, _ = decode_step(config.sos_id, initial_decoder_state(config), enc,
                                params, config)
-    np.testing.assert_allclose(log_probs.data, np.full(5, -np.log(5.0)), atol=1e-15)
+    np.testing.assert_allclose(log_probs, np.full(5, -np.log(5.0)), atol=1e-15)
 
 
 def test_dot_score_on_unit_vectors():
@@ -213,8 +212,7 @@ def test_dot_score_on_unit_vectors():
     params = zero_params(config)
     e = np.zeros(4)
     e[1] = 1.0
-    score = attention_score(ad.tensor(e), ad.tensor(e.copy()), params, config)
-    assert score.item() == pytest.approx(1.0)
+    assert attention_score(e, e.copy(), params, config) == pytest.approx(1.0)
 
 
 def test_bilinear_identity_equals_dot():
@@ -224,18 +222,17 @@ def test_bilinear_identity_equals_dot():
     params["att.bilinear.w"].data[:] = np.eye(4)
     rng = np.random.default_rng(3)
     h_enc, h_dec = rng.normal(size=4), rng.normal(size=4)
-    score = attention_score(ad.tensor(h_enc), ad.tensor(h_dec), params, config)
-    assert score.item() == pytest.approx(float(h_enc @ h_dec), abs=1e-14)
+    score = attention_score(h_enc, h_dec, params, config)
+    assert score == pytest.approx(float(h_enc @ h_dec), abs=1e-14)
 
 
 def test_mlp_score_zero_readout_is_zero(tiny_model):
     config, params = tiny_model
     params["att.mlp.v"].data[:] = 0.0
     rng = np.random.default_rng(4)
-    score = attention_score(ad.tensor(rng.normal(size=config.enc_out_dim)),
-                            ad.tensor(rng.normal(size=config.dec_hidden)),
-                            params, config)
-    assert score.item() == 0.0
+    score = attention_score(rng.normal(size=config.enc_out_dim),
+                            rng.normal(size=config.dec_hidden), params, config)
+    assert score == 0.0
 
 
 def test_attend_single_frame_is_certain(tiny_model):
@@ -243,26 +240,25 @@ def test_attend_single_frame_is_certain(tiny_model):
     enc = encode([np.random.default_rng(5).normal(size=(2, config.feature_dim))],
                  params, config)[0]
     assert enc.states.shape[0] == 1
-    context, alignment = attend(enc, ad.tensor(np.random.default_rng(6).normal(size=config.dec_hidden)),
+    context, alignment = attend(enc, np.random.default_rng(6).normal(size=config.dec_hidden),
                                 params, config)
-    np.testing.assert_array_equal(alignment.data, [1.0])
-    np.testing.assert_allclose(context.data, enc.states.data[0], atol=1e-15)
+    np.testing.assert_array_equal(alignment, [1.0])
+    np.testing.assert_allclose(context, enc.states.data[0], atol=1e-15)
 
 
 def test_attend_is_softmax_weighted_sum(tiny_model):
     config, params = tiny_model
     enc = encode([np.random.default_rng(7).normal(size=(6, config.feature_dim))],
                  params, config)[0]
-    h_dec = ad.tensor(np.random.default_rng(8).normal(size=config.dec_hidden))
+    h_dec = np.random.default_rng(8).normal(size=config.dec_hidden)
     context, alignment = attend(enc, h_dec, params, config)
-    assert alignment.data.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(context.data, alignment.data @ enc.states.data, atol=1e-12)
+    assert alignment.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(context, alignment @ enc.states.data, atol=1e-12)
     # the vectorized scores agree with the single-pair scorer
-    per_row = np.array([attention_score(ad.tensor(enc.states.data[s]), h_dec,
-                                        params, config).item()
-                        for s in range(enc.states.shape[0])])
+    per_row = np.array([attention_score(h_enc, h_dec, params, config)
+                        for h_enc in enc.states.data])
     shifted = np.exp(per_row - per_row.max())
-    np.testing.assert_allclose(alignment.data, shifted / shifted.sum(), atol=1e-12)
+    np.testing.assert_allclose(alignment, shifted / shifted.sum(), atol=1e-12)
 
 
 def test_decode_step_contract(tiny_model):
@@ -272,9 +268,24 @@ def test_decode_step_contract(tiny_model):
     state = initial_decoder_state(config)
     log_probs, _ = decode_step(config.sos_id, state, enc, params, config)
     assert log_probs.shape == (config.vocab_size,)
-    assert np.exp(log_probs.data).sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.exp(log_probs).sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(IndexError):
         decode_step(config.sos_id + 1, state, enc, params, config)
+
+
+def test_reference_step_returns_arrays_and_records_nothing(tiny_model):
+    # every recorded node draws one number from the tape's creation counter
+    config, params = tiny_model
+    with ad.no_grad():
+        enc = encode([np.random.default_rng(9).normal(size=(4, config.feature_dim))],
+                     params, config)[0]
+    before = next(ad._COUNTER)
+    log_probs, state = decode_step(config.sos_id, initial_decoder_state(config), enc,
+                                   params, config)
+    context, alignment = attend(enc, state.h, params, config)
+    assert next(ad._COUNTER) == before + 1
+    for value in (log_probs, state.h, state.c, state.prev_context, context, alignment):
+        assert type(value) is np.ndarray
 
 
 def test_sequence_log_prob_sums_per_step(tiny_model):

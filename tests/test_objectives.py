@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from seqrl import autodiff as ad
-from seqrl.decoding import Hypothesis, SampleBatch, forced_decode, sample_sequences
+from seqrl.decoding import Hypothesis, SampleBatch, _finish, sample_sequences
 from seqrl.errors import ConfigError
-from seqrl.model import encode, sequence_log_prob
+from seqrl.model import _rollout, encode, sequence_log_prob
 from seqrl.objectives import (RlConfig, combined_loss, mle_loss,
                               reinforce_final_gradient, reinforce_time_gradient,
                               rl_surrogate)
@@ -24,12 +24,15 @@ def zero_grads(params):
         p.zero_grad()
 
 
-def forced_batch(feats, params, config, combos, terminated=True):
-    forced = [forced_decode(feats, params, config, c, terminated=terminated)
-              for c in combos]
-    return SampleBatch(samples=tuple(hyp for hyp, _ in forced),
-                       seeds=tuple((m,) for m in range(len(forced))),
-                       log_probs=ad.concat([log_probs for _, log_probs in forced]))
+def forced_batch(feats, params, config, combos):
+    """A sample batch of the given grapheme sequences, each ended by eos and
+    forced as one row of a single rollout."""
+    rows = [tuple(c) + (config.eos_id,) for c in combos]
+    enc = encode([feats], params, config)[0]
+    out, log_probs = _rollout(enc, params, config, max(map(len, rows)), len(rows),
+                              lambda _lp, live, step: [rows[r][step] for r in live.tolist()])
+    return SampleBatch(samples=tuple(_finish(*row) for row in out),
+                       seeds=tuple((m,) for m in range(len(rows))), log_probs=log_probs)
 
 
 def test_rl_config_validation():
