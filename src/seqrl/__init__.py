@@ -17,9 +17,7 @@ from .decoding import (Hypothesis, SampleBatch, beam_search, forced_decode,
 from .errors import ConfigError, ParseError, SchemaError, ToolkitError
 from .model import (ModelConfig, count_params, default_max_len, encode,
                     init_params, param_shapes, sequence_log_prob)
-from .objectives import (RlConfig, combined_loss, mle_loss,
-                         reinforce_final_gradient, reinforce_time_gradient,
-                         rl_surrogate)
+from .objectives import RlConfig, mle_loss, rl_surrogate
 from .rewards import (MovingStats, discounted_returns, edit_distance,
                       normalize_final, normalize_timewise,
                       prefix_edit_distances, step_rewards, total_reward)

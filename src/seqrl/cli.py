@@ -22,7 +22,7 @@ from .checkpoint import Checkpoint, load_checkpoint, validate_checkpoint
 from .data import (_atomic_open, char32_vocabulary, default_vocabulary, generate_splits,
                    load_corpus, save_corpus, split_paths)
 from .decoding import beam_search, greedy_decode
-from .errors import ConfigError, ParseError, ToolkitError
+from .errors import ConfigError, ParseError, SchemaError, ToolkitError
 from .model import ModelConfig
 from .training import (TrainConfig, _check_corpus, _tensors_from_arrays,
                        evaluate, train_mle, train_rl)
@@ -147,7 +147,11 @@ def train_rl_cmd(config_path, train_path, dev_path, ckpt_path, seed, out_dir):
 
 def _model_from_checkpoint(path: str) -> tuple[Checkpoint, ModelConfig, dict[str, Tensor]]:
     ckpt = load_checkpoint(path)
-    config = ModelConfig(**ckpt.config["model"])
+    model = ckpt.config.get("model") if isinstance(ckpt.config, dict) else None
+    try:
+        config = ModelConfig(**model)
+    except (TypeError, ConfigError) as exc:
+        raise SchemaError(f"checkpoint {path} has no valid model config: {exc}") from None
     validate_checkpoint(ckpt, config)
     return ckpt, config, _tensors_from_arrays(ckpt.params)
 

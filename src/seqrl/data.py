@@ -324,7 +324,9 @@ def load_corpus(path: str) -> Corpus:
             raise ParseError(f"utterance {uid} has an empty transcript", reader.line_no)
         if any(i >= vocab.eos_id for i in transcript):
             raise SchemaError(f"utterance {uid} transcript contains a non-grapheme symbol")
-        rows = np.empty((n_frames, feature_dim))
+        # rows are read before any array is built, so the header's counts
+        # size nothing that the file does not hold
+        rows = []
         for r in range(n_frames):
             raw = reader.next(f"feature row {r + 1} of utterance {uid}").split()
             if len(raw) != feature_dim:
@@ -332,11 +334,11 @@ def load_corpus(path: str) -> Corpus:
                     f"feature row has {len(raw)} values, expected {feature_dim}",
                     reader.line_no)
             try:
-                rows[r] = [float(v) for v in raw]
+                rows.append([float(v) for v in raw])
             except ValueError:
                 raise ParseError("feature row contains a non-numeric value",
                                  reader.line_no) from None
-        utts.append(Utterance(uid=uid, features=rows, transcript=transcript))
+        utts.append(Utterance(uid=uid, features=np.array(rows), transcript=transcript))
     if reader.pos != len(reader.lines):
         raise ParseError("trailing content after the last utterance", reader.pos + 1)
     return Corpus(vocab=vocab, feature_dim=feature_dim, utterances=utts)

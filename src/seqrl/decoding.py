@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import (EncoderStates, ModelConfig, _rollout, _step_rows, default_max_len,
-                    encode)
+from .model import (EncoderStates, ModelConfig, _grapheme_ids, _rollout, _step_rows,
+                    default_max_len, encode)
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,25 @@ def _finish(graphemes, lps, truncated: bool) -> Hypothesis:
 class SampleBatch:
     """M sampled hypotheses for one utterance with their RNG substream keys.
 
-    ``log_probs`` is the rollout's 1-D tensor of every sampled step's
-    log-prob, sample after sample; the surrogates differentiate through it.
+    ``log_probs`` is the rollout's 1-D tensor of step log-probs: first the
+    ``forced_steps`` steps of the row forced through the transcript, if one
+    was given, then every sampled step, sample after sample. The training
+    loss differentiates through it.
     """
 
     samples: tuple[Hypothesis, ...]
     seeds: tuple[tuple[int, ...], ...]
     log_probs: Tensor
+    forced_steps: int = 0
 
     def __post_init__(self):
         if len(self.samples) < 1:
             raise ValueError("a sample batch needs at least one sample")
         if len(self.seeds) != len(self.samples):
             raise ValueError("seeds and samples must align")
-        if self.log_probs.shape != (sum(len(h.step_log_probs) for h in self.samples),):
-            raise ValueError("log_probs must hold one entry per sampled step")
+        steps = self.forced_steps + sum(len(h.step_log_probs) for h in self.samples)
+        if self.log_probs.shape != (steps,):
+            raise ValueError("log_probs must hold one entry per forced and sampled step")
 
 
 def _resolve_max_len(max_len: int | None, enc: EncoderStates, config: ModelConfig) -> int:
@@ -89,37 +93,46 @@ def _substream(root: np.random.SeedSequence, index: int) -> np.random.SeedSequen
 
 
 def sample_sequences(features, params, config: ModelConfig, num_samples: int,
-                     max_len: int | None, rng,
-                     enc: EncoderStates | None = None) -> SampleBatch:
+                     max_len: int | None, rng, enc: EncoderStates | None = None,
+                     transcript=None) -> SampleBatch:
     """Draw num_samples sequences, each conditioned on its own predictions.
 
     ``rng`` seeds a root stream; sample m uses the deterministic substream
     (root, m), so the batch is reproducible regardless of evaluation order
     and sample m does not depend on num_samples. The samples run as rows of
     one rollout, which records the tape so the batch's log-probs stay
-    differentiable. A caller that already encoded ``features`` passes the
+    differentiable. Given a ``transcript`` (grapheme ids), one more row,
+    first in the rollout, is forced through it and eos, whatever
+    ``max_len`` says, and draws nothing: the samples are those drawn
+    without it. A caller that already encoded ``features`` passes the
     result as ``enc``.
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     root = _as_seed_sequence(rng)
+    forced = [] if transcript is None else _grapheme_ids(transcript, config) + [config.eos_id]
     if enc is None:
         enc = encode([features], params, config)[0]
     max_len = _resolve_max_len(max_len, enc, config)
     children = [_substream(root, m) for m in range(num_samples)]
     gens = [np.random.default_rng(child) for child in children]
     last = config.vocab_size - 1
+    first = 1 if forced else 0  # the row id of sample 0
 
-    def draw(log_probs, rows, _step):
-        cum = np.cumsum(np.exp(log_probs), axis=1)
-        u = np.array([gens[r].random() for r in rows.tolist()]) * cum[:, -1]
+    def draw(log_probs, rows, step):
+        # live rows keep their order, so a live forced row is the first one
+        lead = 1 if first and rows[0] == 0 else 0
+        cum = np.cumsum(np.exp(log_probs[lead:]), axis=1)
+        u = np.array([gens[r - first].random() for r in rows[lead:].tolist()]) * cum[:, -1]
         # cum is non-decreasing, so this counts what searchsorted(side="right") finds
-        return np.minimum(np.sum(cum <= u[:, None], axis=1), last)
+        drawn = np.minimum(np.sum(cum <= u[:, None], axis=1), last)
+        return np.concatenate([[forced[step]], drawn]) if lead else drawn
 
-    rows, log_probs = _rollout(enc, params, config, max_len, num_samples, draw)
+    caps = ([len(forced)] if first else []) + [max_len] * num_samples
+    rows, log_probs = _rollout(enc, params, config, caps, draw)
     seeds = tuple(tuple(int(k) for k in child.spawn_key) for child in children)
-    return SampleBatch(samples=tuple(_finish(*row) for row in rows), seeds=seeds,
-                       log_probs=log_probs)
+    return SampleBatch(samples=tuple(_finish(*row) for row in rows[first:]), seeds=seeds,
+                       log_probs=log_probs, forced_steps=len(forced))
 
 
 def forced_decode(features, params, config: ModelConfig, graphemes,
@@ -131,16 +144,12 @@ def forced_decode(features, params, config: ModelConfig, graphemes,
     sampling but the "draws" are prescribed. Returns the hypothesis and the
     rollout's tensor of its step log-probs.
     """
-    graphemes = [int(g) for g in graphemes]
-    for y in graphemes:
-        if y < 0 or y >= config.eos_id:
-            raise IndexError(f"grapheme id {y} out of range [0, {config.eos_id})")
-    symbols = graphemes + ([config.eos_id] if terminated else [])
+    symbols = _grapheme_ids(graphemes, config) + ([config.eos_id] if terminated else [])
     if not symbols:
         raise ValueError("forced_decode needs at least one emission")
     if enc is None:
         enc = encode([features], params, config)[0]
-    rows, log_probs = _rollout(enc, params, config, len(symbols), 1,
+    rows, log_probs = _rollout(enc, params, config, [len(symbols)],
                                lambda _lp, _rows, step: [symbols[step]])
     return _finish(*rows[0]), log_probs
 
@@ -152,7 +161,7 @@ def greedy_decode(features, params, config: ModelConfig, max_len: int | None = N
     with ad.no_grad():
         if enc is None:
             enc = encode([features], params, config)[0]
-        rows, _ = _rollout(enc, params, config, _resolve_max_len(max_len, enc, config), 1,
+        rows, _ = _rollout(enc, params, config, [_resolve_max_len(max_len, enc, config)],
                            lambda lp, _rows, _step: np.argmax(lp, axis=1))
     return _finish(*rows[0])
 

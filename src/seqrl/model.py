@@ -435,14 +435,16 @@ def _step_rows(enc: EncoderStates, params, config: ModelConfig, prev: np.ndarray
     return log_probs, h_new, c_new, ctx_new, (x, i, f, g, o, tc, att, align, hc)
 
 
-def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
-             num_rows: int, choose) -> tuple[list[tuple], Tensor]:
-    """Decode ``num_rows`` sequences side by side as one taped operation.
+def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
+             choose) -> tuple[list[tuple], Tensor]:
+    """Decode one sequence per entry of ``caps`` side by side as one taped
+    operation.
 
     ``choose(log_probs, rows, step)`` gets the (R, V) log-probs of the live
     rows and their row ids and returns each row's next symbol id. A row
-    drops out once it emits eos. Every value equals, bit for bit, what a
-    loop over ``decode_step`` gives for that row alone.
+    drops out once it emits eos or has run ``caps[row]`` steps. Every value
+    equals, bit for bit, what a loop over ``decode_step`` gives for that row
+    alone.
 
     Returns each row's plain ``(graphemes, step log-probs, truncated)``, eos
     left out of the graphemes, and one 1-D tensor of every picked log-prob,
@@ -462,6 +464,8 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
         proj, w_dec, v = enc.mlp_proj, params["att.mlp.w_dec"], params["att.mlp.v"]
         inputs += [proj, w_dec, v]
 
+    caps = np.asarray(caps, dtype=np.int64)
+    num_rows = caps.shape[0]
     live = np.arange(num_rows)
     prev = np.full(num_rows, config.sos_id)
     h = np.zeros((num_rows, hd))
@@ -469,7 +473,7 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
     ctx = np.zeros((num_rows, config.enc_out_dim))
     row_ids, symbols, picked = [], [], []
     cache = []
-    for step in range(max_len):
+    for step in range(int(caps.max())):
         log_probs, h_new, c_new, ctx_new, saved = _step_rows(enc, params, config,
                                                              prev, h, c, ctx)
         y = np.asarray(choose(log_probs, live, step), dtype=np.int64)
@@ -477,7 +481,7 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
         row_ids.extend(live.tolist())
         symbols.extend(y.tolist())
         picked.extend(log_probs[np.arange(live.shape[0]), y])
-        keep = y != eos
+        keep = (y != eos) & (caps[live] > step + 1)
         if not keep.any():
             break
         live, prev, h, c, ctx = live[keep], y[keep], h_new[keep], c_new[keep], ctx_new[keep]
@@ -568,6 +572,15 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, max_len: int,
     return results, ad._make([out], inputs, bwd)[0]
 
 
+def _grapheme_ids(graphemes, config: ModelConfig) -> list[int]:
+    """``graphemes`` as ints, each checked to be a grapheme id (eos is not)."""
+    ids = [int(y) for y in graphemes]
+    for y in ids:
+        if y < 0 or y >= config.eos_id:
+            raise IndexError(f"grapheme id {y} out of range [0, {config.eos_id})")
+    return ids
+
+
 def sequence_log_prob(features, transcript, params: dict[str, Tensor],
                       config: ModelConfig,
                       enc: EncoderStates | None = None) -> tuple[Tensor, Tensor]:
@@ -581,12 +594,10 @@ def sequence_log_prob(features, transcript, params: dict[str, Tensor],
     transcript = [int(y) for y in transcript]
     if not transcript or transcript[-1] != config.eos_id:
         raise ValueError("transcript must be non-empty and end with eos")
-    for y in transcript[:-1]:
-        if y < 0 or y >= config.eos_id:
-            raise IndexError(f"transcript symbol id {y} out of range [0, {config.eos_id})")
+    _grapheme_ids(transcript[:-1], config)
     if enc is None:
         enc = encode([features], params, config)[0]
-    _, per_step = _rollout(enc, params, config, len(transcript), 1,
+    _, per_step = _rollout(enc, params, config, [len(transcript)],
                            lambda _lp, _rows, step: [transcript[step]])
     return ad.sum_all(per_step), per_step
 

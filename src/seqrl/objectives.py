@@ -1,11 +1,11 @@
-"""Training objectives: teacher-forced likelihood and REINFORCE surrogates.
+"""Training objectives: teacher-forced likelihood and REINFORCE coefficients.
 
-Both policy-gradient estimators are built as surrogate scalars whose backward
-pass produces the estimator: one dot product of the sampled log-probs with a
-constant coefficient vector, so no gradient ever flows through the rewards.
-The time-distributed variant weights each step's log-prob by its normalized
-discounted return; the final-reward variant weights every step of a sample by
-that sample's normalized total reward.
+Both policy-gradient estimators are coefficient vectors computed off the
+tape, one entry per sampled step: a loss that is their dot product with the
+sampled log-probs has the estimator as its gradient, and no gradient ever
+flows through the rewards. The time-distributed variant weights each step's
+log-prob by its normalized discounted return; the final-reward variant
+weights every step of a sample by that sample's normalized total reward.
 """
 
 from __future__ import annotations
@@ -71,82 +71,44 @@ def mle_loss(step_log_probs: Tensor, transcript) -> Tensor:
     return ad.scale(ad.sum_all(step_log_probs), -1.0)
 
 
-def _weighted_sum(batch: SampleBatch, coeffs) -> Tensor:
-    """(1/M) sum over the sampled steps of coefficient times log-prob, as one
-    dot product; ``coeffs`` holds one sequence per sample, one entry per step."""
-    weights = ad.constant(np.concatenate([np.asarray(c, dtype=np.float64) for c in coeffs]))
-    return ad.scale(ad.matmul(batch.log_probs, weights), 1.0 / len(batch.samples))
-
-
-def reinforce_time_gradient(batch: SampleBatch, ref, gamma: float,
-                            stats: MovingStats | None,
-                            normalize: bool = True) -> tuple[Tensor, list[int]]:
-    """Surrogate (1/M) sum_m sum_t R~[t] * log P(y_t) for one utterance.
-
-    Returns for the eos step carry no reward of their own (nothing follows
-    it), so its raw return is zero; normalization still gives that step a
-    learning signal. Returns the surrogate and each sample's total reward.
-    ``stats`` is EMA-updated in place when normalizing.
-    """
-    if batch.log_probs.node is None:
-        raise ValueError("sample batch was decoded without gradient recording")
-    ref = list(ref)
-    raw_returns: list[list[float]] = []
-    totals: list[int] = []
-    for hyp in batch.samples:
-        if hyp.graphemes:
-            rewards = step_rewards(hyp.graphemes, ref)
-            returns = discounted_returns(rewards, gamma)
-            totals.append(sum(rewards))
-        else:
-            returns = []
-            totals.append(total_reward((), ref))
-        # the eos step has a coefficient slot of its own
-        raw_returns.append(returns + ([] if hyp.truncated else [0.0]))
-    if normalize:
-        if stats is None:
-            raise ValueError("timewise normalization requires MovingStats")
-        coeffs = normalize_timewise(raw_returns, stats)
-    else:
-        coeffs = raw_returns
-    return _weighted_sum(batch, coeffs), totals
-
-
-def reinforce_final_gradient(batch: SampleBatch, ref,
-                             normalize: bool = True) -> tuple[Tensor, list[int]]:
-    """Surrogate (1/M) sum_m R~_m * log P(y_m) for one utterance.
-
-    The total reward telescopes to |ref| - edit_distance(y_m, ref) and is
-    normalized across the M samples. Returns the surrogate and the raw totals.
-    """
-    if batch.log_probs.node is None:
-        raise ValueError("sample batch was decoded without gradient recording")
-    ref = list(ref)
-    totals = [total_reward(hyp.graphemes, ref) for hyp in batch.samples]
-    if normalize:
-        if len(batch.samples) < 2:
-            raise ValueError("across-sample normalization needs at least 2 samples")
-        coeffs = normalize_final(totals)
-    else:
-        coeffs = [float(t) for t in totals]
-    return _weighted_sum(batch, [[c] * len(hyp.step_log_probs)
-                                 for hyp, c in zip(batch.samples, coeffs)]), totals
-
-
 def rl_surrogate(batch: SampleBatch, ref, rl_config: RlConfig,
-                 stats: MovingStats | None) -> tuple[Tensor, list[int]]:
-    """Dispatch to the configured estimator."""
-    if rl_config.mode == "time_reward":
-        return reinforce_time_gradient(batch, ref, rl_config.gamma, stats,
-                                       normalize=rl_config.normalization == "timewise")
-    return reinforce_final_gradient(batch, ref,
-                                    normalize=rl_config.normalization == "across_samples")
+                 stats: MovingStats | None) -> tuple[np.ndarray, list[int]]:
+    """REINFORCE coefficients of one utterance's samples, and their totals.
 
-
-def combined_loss(mle: Tensor, surrogate: Tensor, rl_weight: float) -> Tensor:
-    """MLE loss plus rl_weight times the negated RL surrogate.
-
-    Minimizing this descends the likelihood loss while ascending the expected
-    reward. With rl_weight=0 the gradient is bitwise the pure MLE gradient.
+    Returns one coefficient per sampled step, sample after sample, and each
+    sample's total reward. The configured estimator's surrogate is the dot
+    product of the coefficients with the sampled steps' log-probs: time_reward
+    weights each step by its discounted return, final_reward every step of a
+    sample by its total reward, each normalized as configured and times 1/M.
+    The eos step earns no reward of its own (nothing follows it), so its raw
+    return is zero; timewise normalization still gives it a learning signal.
+    ``stats`` is EMA-updated in place by timewise normalization.
     """
-    return ad.add(mle, ad.scale(surrogate, -float(rl_weight)))
+    if batch.log_probs.node is None:
+        raise ValueError("sample batch was decoded without gradient recording")
+    ref = list(ref)
+    if rl_config.mode == "time_reward":
+        per_step: list = []
+        totals: list[int] = []
+        for hyp in batch.samples:
+            if hyp.graphemes:
+                rewards = step_rewards(hyp.graphemes, ref)
+                returns = discounted_returns(rewards, rl_config.gamma)
+                totals.append(sum(rewards))
+            else:
+                returns = []
+                totals.append(total_reward((), ref))
+            # the eos step has a coefficient slot of its own
+            per_step.append(returns + ([] if hyp.truncated else [0.0]))
+        if rl_config.normalization == "timewise":
+            if stats is None:
+                raise ValueError("timewise normalization requires MovingStats")
+            per_step = normalize_timewise(per_step, stats)
+    else:
+        totals = [total_reward(hyp.graphemes, ref) for hyp in batch.samples]
+        per_sample = (normalize_final(totals) if rl_config.normalization == "across_samples"
+                      else totals)
+        per_step = [[float(c)] * len(hyp.step_log_probs)
+                    for hyp, c in zip(batch.samples, per_sample)]
+    coeffs = np.concatenate([np.asarray(c, dtype=np.float64) for c in per_step])
+    return coeffs * (1.0 / len(batch.samples)), totals

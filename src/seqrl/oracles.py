@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .decoding import SampleBatch, forced_decode, sample_sequences
 from .model import ModelConfig, init_params, sequence_log_prob
-from .objectives import mle_loss, reinforce_final_gradient, reinforce_time_gradient
+from .objectives import RlConfig, mle_loss, rl_surrogate
 from .rewards import edit_distance, step_rewards
 
 
@@ -161,6 +161,7 @@ def expected_estimator_gradient(task: TinyTask, mode: str,
     possible decoding trajectory of the tiny task.
     """
     config, params = task.config, task.params
+    rl_config = RlConfig(mode=mode, gamma=gamma, num_samples=1, normalization="none")
     num_graphemes = config.vocab_size - 1
     _zero_grads(params)
     total_prob = 0.0
@@ -169,14 +170,8 @@ def expected_estimator_gradient(task: TinyTask, mode: str,
         prob = float(np.exp(hyp.total_log_prob))
         total_prob += prob
         batch = SampleBatch(samples=(hyp,), seeds=((0,),), log_probs=log_probs)
-        if mode == "time_reward":
-            surrogate, _ = reinforce_time_gradient(batch, task.reference, gamma,
-                                                   stats=None, normalize=False)
-        elif mode == "final_reward":
-            surrogate, _ = reinforce_final_gradient(batch, task.reference, normalize=False)
-        else:
-            raise ValueError(f"unknown estimator mode {mode!r}")
-        ad.backward(ad.scale(surrogate, prob))
+        coeffs, _ = rl_surrogate(batch, task.reference, rl_config, None)
+        ad.backward(ad.matmul(log_probs, ad.constant(prob * coeffs)))
     if abs(total_prob - 1.0) > 1e-9:
         raise AssertionError(f"trajectory probabilities sum to {total_prob}, not 1")
     grads = _collect_grads(params)
@@ -206,14 +201,15 @@ def monte_carlo_global_gradient(task: TinyTask, num_batches: int,
                                 num_samples: int, seed: int) -> MonteCarloStats:
     """Sample-based estimates of the final-reward estimator, batch by batch."""
     config, params = task.config, task.params
+    rl_config = RlConfig(mode="final_reward", num_samples=num_samples, normalization="none")
     _zero_grads(params)
     sums: dict[str, np.ndarray] | None = None
     sq_sums: dict[str, np.ndarray] | None = None
     for b in range(num_batches):
         batch = sample_sequences(task.features, params, config, num_samples,
                                  task.max_len, np.random.SeedSequence([seed, b]))
-        surrogate, _ = reinforce_final_gradient(batch, task.reference, normalize=False)
-        ad.backward(surrogate)
+        coeffs, _ = rl_surrogate(batch, task.reference, rl_config, None)
+        ad.backward(ad.matmul(batch.log_probs, ad.constant(coeffs)))
         grads = _collect_grads(params)
         _zero_grads(params)
         if sums is None:

@@ -19,12 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, save_checkpoint, validate_checkpoint
-from .data import Corpus, _f17, _write_lines, corpus_cer
+from .data import Corpus, _f17, _write_lines
 from .decoding import beam_search, greedy_decode, sample_sequences
 from .errors import ConfigError, SchemaError, check_field_types
 from .model import EncoderStates, ModelConfig, encode, init_params, sequence_log_prob
-from .objectives import RlConfig, combined_loss, mle_loss, rl_surrogate
-from .rewards import MovingStats
+from .objectives import RlConfig, mle_loss, rl_surrogate
+from .rewards import MovingStats, edit_distance
 
 # substream purpose tags (first entry after the seed in every derivation)
 _TAG_SHUFFLE_MLE = 11
@@ -135,10 +135,10 @@ class EvalResult:
 def evaluate(corpus: Corpus, params: dict[str, Tensor], config: ModelConfig,
              beam: int = 1) -> EvalResult:
     """Decode every utterance and pool CER as total distance / total length."""
-    from .rewards import edit_distance
     rows = []
-    pairs = []
     utts = corpus.utterances
+    if not utts:
+        raise ValueError("evaluate needs at least one utterance")
     for start in range(0, len(utts), _EVAL_CHUNK):
         chunk = utts[start:start + _EVAL_CHUNK]
         with ad.no_grad():
@@ -148,14 +148,14 @@ def evaluate(corpus: Corpus, params: dict[str, Tensor], config: ModelConfig,
                 hyp = greedy_decode(utt.features, params, config, enc=enc)
             else:
                 hyp = beam_search(utt.features, params, config, beam=beam, enc=enc)
-            pairs.append((hyp.graphemes, utt.transcript))
             rows.append(EvalRow(
                 uid=utt.uid,
                 reference=corpus.vocab.to_string(utt.transcript),
                 hypothesis=corpus.vocab.to_string(hyp.graphemes),
                 distance=edit_distance(hyp.graphemes, utt.transcript),
             ))
-    return EvalResult(cer=corpus_cer(pairs), rows=rows)
+    cer = sum(row.distance for row in rows) / sum(len(utt.transcript) for utt in utts)
+    return EvalResult(cer=cer, rows=rows)
 
 
 @dataclass
@@ -311,30 +311,38 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
     return _finish_phase(rows, best, out_dir, phase, log)
 
 
+def _teacher_forced_loss(params: dict[str, Tensor], model: ModelConfig):
+    """The per-utterance loss of teacher-forced training: the negative
+    log-prob of the transcript and eos."""
+    def utterance_loss(utt, idx, epoch, enc):
+        target = utt.transcript + (model.eos_id,)
+        _, per_step = sequence_log_prob(utt.features, target, params, model, enc=enc)
+        return mle_loss(per_step, target), ()
+    return utterance_loss
+
+
 def train_mle(train: Corpus, dev: Corpus, config: TrainConfig,
               out_dir: str | None = None, log=lambda msg: None) -> TrainResult:
     """Teacher-forced training with greedy dev CER early stopping."""
     _check_corpus(train, config.model, "train")
     _check_corpus(dev, config.model, "dev")
     params = init_params(config.model, config.seed)
-    eos = config.model.eos_id
-
-    def utterance_loss(utt, idx, epoch, enc):
-        target = utt.transcript + (eos,)
-        _, per_step = sequence_log_prob(utt.features, target, params, config.model, enc=enc)
-        return mle_loss(per_step, target), ()
-
     return _run_phase("mle", train, dev, config, params, config.mle_max_epochs,
-                      _TAG_SHUFFLE_MLE, utterance_loss, out_dir, log)
+                      _TAG_SHUFFLE_MLE, _teacher_forced_loss(params, config.model),
+                      out_dir, log)
 
 
 def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
               out_dir: str | None = None, log=lambda msg: None) -> TrainResult:
     """Reward-augmented training from an existing checkpoint.
 
-    Per utterance: sample num_samples sequences from the model's own
-    predictions, shape rewards, and descend the combined objective. The
-    optimizer and reward statistics start fresh for this phase.
+    Per utterance, one rollout forces a row through the transcript and eos
+    and samples num_samples more from the model's own predictions. The loss
+    is the dot product of its step log-probs with constant coefficients: -1
+    on the forced steps (the likelihood loss) and -rl_weight times the
+    REINFORCE coefficients on the sampled ones. With rl_weight 0 the loss is
+    the teacher-forced one and nothing is sampled. The optimizer and reward
+    statistics start fresh for this phase.
     """
     _check_corpus(train, config.model, "train")
     _check_corpus(dev, config.model, "dev")
@@ -342,17 +350,17 @@ def train_rl(train: Corpus, dev: Corpus, config: TrainConfig, start: Checkpoint,
     params = _tensors_from_arrays(start.params)
     stats = MovingStats()
     rl_cfg = config.rl
-    eos = config.model.eos_id
 
-    def utterance_loss(utt, idx, epoch, enc):
-        target = utt.transcript + (eos,)
-        _, per_step = sequence_log_prob(utt.features, target, params, config.model, enc=enc)
-        mle = mle_loss(per_step, target)
+    def reward_loss(utt, idx, epoch, enc):
         batch = sample_sequences(
             utt.features, params, config.model, rl_cfg.num_samples, None,
-            np.random.SeedSequence([config.seed, _TAG_SAMPLES, epoch, idx]), enc=enc)
-        surrogate, totals = rl_surrogate(batch, utt.transcript, rl_cfg, stats)
-        return combined_loss(mle, surrogate, rl_cfg.rl_weight), totals
+            np.random.SeedSequence([config.seed, _TAG_SAMPLES, epoch, idx]), enc=enc,
+            transcript=utt.transcript)
+        coeffs, totals = rl_surrogate(batch, utt.transcript, rl_cfg, stats)
+        weights = np.concatenate([np.full(batch.forced_steps, -1.0), -rl_cfg.rl_weight * coeffs])
+        return ad.matmul(batch.log_probs, ad.constant(weights)), totals
 
+    utterance_loss = (_teacher_forced_loss(params, config.model) if rl_cfg.rl_weight == 0.0
+                      else reward_loss)
     return _run_phase("rl", train, dev, config, params, config.rl_max_epochs,
                       _TAG_SHUFFLE_RL, utterance_loss, out_dir, log, baseline=True)

@@ -179,7 +179,7 @@ def test_backward_frees_saved_arrays_without_gc(tiny_model):
     config, params = tiny_model
     enc = encode([np.random.default_rng(19).normal(size=(4, config.feature_dim))],
                  params, config)[0]
-    _, out = _rollout(enc, params, config, 3, 2, lambda lp, _rows, _step: np.argmax(lp, axis=1))
+    _, out = _rollout(enc, params, config, [3, 3], lambda lp, _rows, _step: np.argmax(lp, axis=1))
     bwd = out.node.backward_fn
     cache = dict(zip(bwd.__code__.co_freevars, bwd.__closure__))["cache"].cell_contents
     saved = [arr for entry in cache for arr in entry if isinstance(arr, np.ndarray)]

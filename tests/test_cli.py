@@ -180,6 +180,40 @@ def test_evaluate_rejects_mismatched_corpus(workspace, tmp_path):
     assert "error (schema)" in result.stderr
 
 
+@pytest.mark.parametrize("damage", [
+    lambda config: {k: v for k, v in config.items() if k != "model"},
+    lambda config: dict(config, model=dict(config["model"], dropout=0.1)),
+    lambda config: dict(config, model=[config["model"]]),
+    lambda config: dict(config, model=dict(config["model"], enc_hidden=2.5)),
+], ids=["no-model", "unknown-model-key", "non-object-model", "mistyped-model-field"])
+def test_checkpoint_without_a_valid_model_config_is_a_schema_error(workspace, tmp_path, damage):
+    root, runner, _ = workspace
+    lines = (root / "run1" / "mle_best.ckpt").read_text().splitlines()
+    lines[1] = "config " + json.dumps(damage(json.loads(lines[1][len("config "):])))
+    ckpt = tmp_path / "damaged.ckpt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    for command in ("evaluate", "decode"):
+        result = runner.invoke(main, [command, "--checkpoint", str(ckpt),
+                                      "--corpus", str(root / "toy.dev")])
+        assert result.exit_code == 3, result.output
+        assert "error (schema)" in result.stderr
+        assert str(ckpt) in result.stderr
+
+
+def test_evaluate_rejects_a_corpus_sized_beyond_memory(workspace, tmp_path):
+    # the header's feature_dim sizes nothing: the first short row is the error
+    root, runner, _ = workspace
+    lines = (root / "toy.dev").read_text().splitlines()
+    lines[1] = f"feature_dim {10 ** 12}"
+    corpus = tmp_path / "huge.dev"
+    corpus.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["evaluate",
+                                  "--checkpoint", str(root / "run1" / "mle_best.ckpt"),
+                                  "--corpus", str(corpus)])
+    assert result.exit_code == 3, result.output
+    assert "error (parse): line 8: feature row has 4 values" in result.stderr
+
+
 def test_decode_single_utterance(workspace):
     root, runner, _ = workspace
     args = ["decode", "--checkpoint", str(root / "run1" / "mle_best.ckpt"),

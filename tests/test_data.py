@@ -242,6 +242,24 @@ def test_load_rejects_structural_damage(tmp_path):
             load_corpus(str(path))
         assert excinfo.value.line == line_no
 
+    # counts far beyond any memory: the first short row, or the end of the
+    # file, is the error, before anything of that size is allocated
+    huge = 10 ** 12
+    bad = list(lines)
+    bad[1] = f"feature_dim {huge}"
+    path.write_text("\n".join(bad) + "\n")
+    with pytest.raises(ParseError, match=f"3 values, expected {huge}") as excinfo:
+        load_corpus(str(path))
+    assert excinfo.value.line == 8
+    bad = list(lines)
+    last = max(i for i, line in enumerate(bad) if line.startswith("utt "))
+    parts = bad[last].split()
+    bad[last] = " ".join(parts[:2] + [str(huge)] + parts[3:])
+    path.write_text("\n".join(bad) + "\n")
+    with pytest.raises(ParseError, match="unexpected end") as excinfo:
+        load_corpus(str(path))
+    assert excinfo.value.line == len(bad) + 1
+
 
 def test_load_rejects_schema_violations(tmp_path):
     path, lines = corpus_file_lines(tmp_path)

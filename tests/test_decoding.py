@@ -382,28 +382,82 @@ def test_sample_m_independent_of_num_samples(scorer):
         for m, hyp in enumerate(batch.samples):
             assert hyp == batches[17].samples[m], (n, m)
             assert hyp.step_log_probs == batches[17].samples[m].step_log_probs
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_forced_row_leaves_the_samples_unchanged(scorer):
+    # the forced row runs first and draws nothing: the samples, their seeds
+    # and their log-probs are bitwise those drawn without it
+    config = scorer_config(scorer)
+    params = init_params(config, 4, scale=1.0)
+    feats = random_feats(510, frames=7)
+    transcript = (2, 0, 1, 1)
+    plain = sample_sequences(feats, params, config, num_samples=6, max_len=6, rng=22)
+    joint = sample_sequences(feats, params, config, num_samples=6, max_len=6, rng=22,
+                             transcript=transcript)
+    assert joint.samples == plain.samples
+    assert joint.seeds == plain.seeds
+    assert plain.forced_steps == 0
+    assert joint.forced_steps == len(transcript) + 1
+    _, per_step = sequence_log_prob(feats, transcript + (config.eos_id,), params, config)
+    assert joint.log_probs.data[:joint.forced_steps].tolist() == per_step.data.tolist()
+    assert joint.log_probs.data[joint.forced_steps:].tolist() == plain.log_probs.data.tolist()
+
+
+def test_forced_row_runs_past_max_len(tiny_model):
+    config, params = tiny_model
+    feats = random_feats(511)
+    eos = config.eos_id
+    # samples stop at max_len, the forced row runs through all of its steps
+    transcript = (0, 1, 2, 2, 1, 0, 1)
+    plain = sample_sequences(feats, params, config, 8, 3, rng=23)
+    joint = sample_sequences(feats, params, config, 8, 3, rng=23, transcript=transcript)
+    assert joint.samples == plain.samples
+    assert any(hyp.truncated for hyp in joint.samples)
+    for hyp in joint.samples:
+        assert len(hyp.step_log_probs) <= 3
+        assert hyp.truncated == (len(hyp.graphemes) == 3)
+    _, per_step = sequence_log_prob(feats, transcript + (eos,), params, config)
+    assert joint.forced_steps == 8
+    assert joint.log_probs.data[:8].tolist() == per_step.data.tolist()
+    # the same past the default cap, 2 * 3 + 5 steps for 5 frames
+    long = transcript + transcript[:5]
+    assert len(long) + 1 > default_max_len(feats.shape[0], config) == 11
+    batch = sample_sequences(feats, params, config, 4, None, rng=24, transcript=long)
+    _, per_step = sequence_log_prob(feats, long + (eos,), params, config)
+    assert batch.forced_steps == len(long) + 1
+    assert batch.log_probs.data[:batch.forced_steps].tolist() == per_step.data.tolist()
+    assert all(len(hyp.step_log_probs) <= 11 for hyp in batch.samples)
+
+
+def test_sampling_rejects_a_bad_transcript(tiny_model):
+    config, params = tiny_model
+    feats = random_feats(512)
+    for bad in (-1, config.eos_id):
+        with pytest.raises(IndexError, match="out of range"):
+            sample_sequences(feats, params, config, 2, 4, rng=0, transcript=(0, bad))
             assert batch.seeds[m] == (m,)
 
 
 @pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
 def test_rollout_gradient_matches_finite_differences(scorer):
-    # rows end at different steps and one is cut at max_len; every picked
-    # log-prob gets its own random coefficient
+    # rows end at different steps and two are cut at their step caps; every
+    # picked log-prob gets its own random coefficient
     config = scorer_config(scorer)
     params = init_params(config, 8, scale=1.0)
     feats = random_feats(600, frames=6)
     eos = config.eos_id
     rows = [(0, 1, eos), (2, eos), (eos,), (1, 0, 2, 1), (0, 0, 1, eos)]
-    max_len = 4
-    coeffs = np.random.default_rng(9).normal(size=(len(rows), max_len))
+    caps = [3, 4, 4, 4, 2]
+    coeffs = np.random.default_rng(9).normal(size=(len(rows), max(caps)))
 
     def choose(_log_probs, live, step):
         return [rows[r][step] for r in live.tolist()]
 
     def objective():
         enc = encode([feats], params, config)[0]
-        out, log_probs = _rollout(enc, params, config, max_len, len(rows), choose)
-        assert [truncated for _, _, truncated in out] == [False, False, False, True, False]
+        out, log_probs = _rollout(enc, params, config, caps, choose)
+        assert [truncated for _, _, truncated in out] == [False, False, False, True, True]
         weights = [coeffs[r, t] for r, (_, steps, _) in enumerate(out)
                    for t in range(len(steps))]
         return ad.matmul(log_probs, ad.constant(weights))

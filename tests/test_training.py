@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from seqrl import autodiff as ad
-from seqrl import training
-from seqrl.checkpoint import load_checkpoint, validate_checkpoint
-from seqrl.data import Corpus, default_vocabulary, generate_corpus
-from seqrl.decoding import beam_search, greedy_decode
+from seqrl import decoding, model, training
+from seqrl.checkpoint import Checkpoint, load_checkpoint, validate_checkpoint
+from seqrl.data import Corpus, corpus_cer, default_vocabulary, generate_corpus
+from seqrl.decoding import beam_search, greedy_decode, sample_sequences
 from seqrl.errors import ConfigError, SchemaError
-from seqrl.model import ModelConfig, init_params
-from seqrl.objectives import RlConfig
-from seqrl.rewards import edit_distance
+from seqrl.model import ModelConfig, encode, init_params, sequence_log_prob
+from seqrl.objectives import RlConfig, mle_loss, rl_surrogate
+from seqrl.rewards import MovingStats, edit_distance
 from seqrl.training import (AdamState, TrainConfig, adam_update, evaluate,
                             train_mle, train_rl, write_metrics)
 
@@ -174,14 +174,16 @@ def test_evaluate_agrees_with_greedy(micro_corpus):
     for beam in (1, 3):
         result = evaluate(corpus, params, config, beam=beam)
         assert len(result.rows) == len(corpus)
+        pairs = []
         for utt, row in zip(corpus, result.rows):
             hyp = (greedy_decode(utt.features, params, config) if beam == 1
                    else beam_search(utt.features, params, config, beam=beam))
+            pairs.append((hyp.graphemes, utt.transcript))
             assert row.uid == utt.uid
             assert row.hypothesis == vocab.to_string(hyp.graphemes)
             assert row.reference == vocab.to_string(utt.transcript)
             assert row.distance == edit_distance(hyp.graphemes, utt.transcript)
-        assert 0.0 <= result.cer
+        assert result.cer == corpus_cer(pairs)
 
 
 def test_corpus_model_mismatch_is_rejected(micro_corpus):
@@ -233,6 +235,18 @@ def _batch_uids(train, config, tag, epoch=1):
             for k in range(0, len(train), config.batch_size)]
 
 
+def reachable(loss):
+    """The nodes a backward from ``loss`` replays, by id; holding the nodes
+    keeps them alive, so no id is reused."""
+    seen, stack = {}, [loss.node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(t.node for t in node.inputs if t.node is not None)
+    return seen
+
+
 def test_each_utterance_backward_stops_at_the_batch_encoder(mle_run, monkeypatch):
     # one encoder node per batch; each utterance's backward runs through its
     # own decoder graph only, before the next utterance's loss is built, and
@@ -241,17 +255,7 @@ def test_each_utterance_backward_stops_at_the_batch_encoder(mle_run, monkeypatch
     config = micro_train_config(batch_size=4)
     events = []
     real_encode, real_backward = training.encode, ad.backward
-    real_log_prob = training.sequence_log_prob
-
-    def reachable(loss):
-        # maps id to node, keeping the nodes alive so that no id is reused
-        seen, stack = {}, [loss.node]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen[id(node)] = node
-                stack.extend(t.node for t in node.inputs if t.node is not None)
-        return seen
+    real_sample = training.sample_sequences
 
     def encode(*args):
         encs = real_encode(*args)
@@ -259,16 +263,16 @@ def test_each_utterance_backward_stops_at_the_batch_encoder(mle_run, monkeypatch
             events.append(("encode", id(encs[0].states.node)))
         return encs
 
-    def sequence_log_prob(*args, **kwargs):
+    def sample_sequences(*args, **kwargs):
         events.append(("loss", None))  # each utterance's loss starts here
-        return real_log_prob(*args, **kwargs)
+        return real_sample(*args, **kwargs)
 
     def backward(loss):
         events.append(("backward", reachable(loss)))
         real_backward(loss)
 
     monkeypatch.setattr(training, "encode", encode)
-    monkeypatch.setattr(training, "sequence_log_prob", sequence_log_prob)
+    monkeypatch.setattr(training, "sample_sequences", sample_sequences)
     monkeypatch.setattr(ad, "backward", backward)
     train_rl(train, dev, config, mle_result.checkpoint)
 
@@ -307,9 +311,8 @@ def test_non_finite_gradient_names_parameter_and_batch(micro_corpus):
 
 def test_non_finite_loss_names_phase_epoch_and_utterance(mle_run, monkeypatch):
     config, train, dev, mle_result = mle_run
-    real = training.combined_loss
-    monkeypatch.setattr(training, "combined_loss",
-                        lambda *args: ad.scale(real(*args), float("nan")))
+    real = ad.matmul  # the last op of the utterance loss
+    monkeypatch.setattr(ad, "matmul", lambda *args: ad.scale(real(*args), float("nan")))
     first = _batch_uids(train, config, training._TAG_SHUFFLE_RL)[0][0]
     with pytest.raises(RuntimeError, match=rf"^\[rl\] loss became non-finite at epoch 1 "
                                            rf"on utterance {first}$"):
@@ -349,3 +352,145 @@ def test_rl_patience_returns_the_unchanged_start(mle_run):
     assert result.best_dev_cer == result.metrics[0].dev_cer
     for name, arr in mle_result.checkpoint.params.items():
         np.testing.assert_array_equal(result.checkpoint.params[name], arr)
+
+
+def rl_utterance_loss(monkeypatch, train, dev, config, start):
+    """train_rl's parameters and per-utterance loss, without running an epoch."""
+    captured = {}
+
+    def run_phase(phase, train, dev, config, params, max_epochs, tag, utterance_loss,
+                  *args, **kwargs):
+        captured.update(params=params, loss=utterance_loss)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_run_phase", run_phase)
+        train_rl(train, dev, config, start)
+    return captured["params"], captured["loss"]
+
+
+def utterance_grads(params, loss_of_enc, features, config):
+    """Run the backward of ``loss_of_enc(enc)``, a (loss, total rewards) pair,
+    on a fresh encoding of ``features``; returns the pair and every
+    parameter's gradient."""
+    for p in params.values():
+        p.zero_grad()
+    loss, totals = loss_of_enc(encode([features], params, config)[0])
+    ad.backward(loss)
+    return loss, totals, {n: p.grad.copy() for n, p in params.items()}
+
+
+def teacher_forced(utt, params, config):
+    target = utt.transcript + (config.eos_id,)
+
+    def loss(enc):
+        _, per_step = sequence_log_prob(utt.features, target, params, config, enc=enc)
+        return mle_loss(per_step, target), ()
+    return loss
+
+
+def test_rl_weight_zero_is_teacher_forced_and_draws_no_samples(mle_run, monkeypatch):
+    _, train, dev, mle_result = mle_run
+    config = micro_train_config(rl=RlConfig(gamma=0.9, num_samples=3, rl_weight=0.0))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled at rl_weight 0")
+
+    monkeypatch.setattr(training, "sample_sequences", no_sampling)
+    params, loss_fn = rl_utterance_loss(monkeypatch, train, dev, config, mle_result.checkpoint)
+    for idx, utt in enumerate(train):
+        _, totals, g_rl = utterance_grads(params, lambda enc: loss_fn(utt, idx, 1, enc),
+                                          utt.features, config.model)
+        _, _, g_mle = utterance_grads(params, teacher_forced(utt, params, config.model),
+                                      utt.features, config.model)
+        assert totals == ()
+        for name in g_mle:
+            np.testing.assert_array_equal(g_rl[name], g_mle[name])
+    result = train_rl(train, dev, config, mle_result.checkpoint)
+    assert all(math.isnan(r.mean_reward) for r in result.metrics)
+    assert not math.isnan(result.metrics[1].train_loss)
+
+
+def two_rollout_loss(utt, idx, params, config, stats):
+    """The utterance loss as a teacher-forced rollout plus a sampled one:
+    mle + rl_weight * (-surrogate), and the samples' total rewards."""
+    seed = np.random.SeedSequence([config.seed, training._TAG_SAMPLES, 1, idx])
+
+    def loss(enc):
+        mle, _ = teacher_forced(utt, params, config.model)(enc)
+        batch = sample_sequences(utt.features, params, config.model, config.rl.num_samples,
+                                 None, seed, enc=enc)
+        coeffs, totals = rl_surrogate(batch, utt.transcript, config.rl, stats)
+        surrogate = ad.matmul(batch.log_probs, ad.constant(coeffs))
+        return ad.add(mle, ad.scale(surrogate, -config.rl.rl_weight)), totals
+    return loss
+
+
+@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
+def test_one_rollout_gradient_matches_the_two_rollout_form(micro_corpus, monkeypatch, scorer):
+    _, train, dev = micro_corpus
+    net = ModelConfig(**dict(MICRO_MODEL, scorer=scorer, dec_hidden=8))
+    start = Checkpoint(config={}, phase="mle", epoch=0, best_dev_cer=1.0,
+                       params={n: p.data for n, p in init_params(net, 3, scale=0.5).items()})
+    for rl in (RlConfig(gamma=0.9, num_samples=4, rl_weight=0.7),
+               RlConfig(mode="final_reward", normalization="across_samples", num_samples=4)):
+        config = micro_train_config(model=net, rl=rl)
+        params, loss_fn = rl_utterance_loss(monkeypatch, train, dev, config, start)
+        stats = MovingStats()
+        for idx, utt in enumerate(train):
+            one, totals, g_one = utterance_grads(
+                params, lambda enc: loss_fn(utt, idx, 1, enc), utt.features, net)
+            two, two_totals, g_two = utterance_grads(
+                params, two_rollout_loss(utt, idx, params, config, stats), utt.features, net)
+            assert totals == two_totals
+            assert one.item() == pytest.approx(two.item(), rel=1e-12)
+            for name, g in g_two.items():
+                assert np.max(np.abs(g_one[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_rl_loss_direction(mle_run, monkeypatch):
+    # a higher weight on the reward term moves the loss opposite to the surrogate
+    _, train, dev, mle_result = mle_run
+    utt = train.utterances[0]
+    losses = {}
+    for weight in (0.0, 2.0):
+        rl = RlConfig(mode="final_reward", normalization="none", num_samples=3,
+                      rl_weight=weight)
+        config = micro_train_config(rl=rl)
+        params, loss_fn = rl_utterance_loss(monkeypatch, train, dev, config,
+                                            mle_result.checkpoint)
+        with ad.no_grad():
+            enc = encode([utt.features], params, config.model)[0]
+        losses[weight] = loss_fn(utt, 0, 1, enc)[0].item()
+    batch = sample_sequences(utt.features, params, config.model, 3, None,
+                             np.random.SeedSequence([config.seed, training._TAG_SAMPLES, 1, 0]))
+    coeffs, _ = rl_surrogate(batch, utt.transcript, config.rl, None)
+    surrogate = float(batch.log_probs.data @ coeffs)
+    assert losses[2.0] == pytest.approx(losses[0.0] - 2.0 * surrogate, rel=1e-12)
+
+
+def test_train_rl_records_one_rollout_per_utterance(mle_run, monkeypatch):
+    config, train, dev, mle_result = mle_run
+    real_rollout, real_backward = model._rollout, ad.backward
+    rollouts, graphs = [], []
+
+    def rollout(*args):
+        rows, log_probs = real_rollout(*args)
+        if log_probs.node is not None:  # dev evaluation records nothing
+            rollouts.append(log_probs.node)
+        return rows, log_probs
+
+    def backward(loss):
+        graphs.append(reachable(loss))
+        real_backward(loss)
+
+    for module in (model, decoding):
+        monkeypatch.setattr(module, "_rollout", rollout)
+    monkeypatch.setattr(ad, "backward", backward)
+    train_rl(train, dev, config, mle_result.checkpoint)
+
+    ids = {id(node) for node in rollouts}
+    assert len(rollouts) == len(ids) == len(train) * config.rl_max_epochs
+    per_graph = [len(ids & set(graph)) for graph in graphs]
+    # each utterance's backward replays its one rollout; each batch's replays none
+    batches = math.ceil(len(train) / config.batch_size) * config.rl_max_epochs
+    assert sorted(per_graph) == [0] * batches + [1] * len(rollouts)
