@@ -3,7 +3,10 @@
 Text format with 17-significant-digit decimal floats, which round-trip
 float64 exactly: save -> load -> save reproduces the file byte for byte.
 Version 1 files also carried the seed, Adam moments and reward statistics;
-they still load, and those lines are checked and dropped.
+they still load, and those lines are checked and dropped. Files of either
+version written while the model had a choice of attention scorers echo
+``"scorer": "mlp"`` in their model config; that key is checked and dropped
+too.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ def _floats(text: str, reader: _LineReader) -> np.ndarray:
         raise ParseError("expected a row of decimal floats", reader.line_no) from None
 
 
+def _row(reader: _LineReader, what: str) -> np.ndarray:
+    row = _floats(reader.next(what), reader)
+    if not np.isfinite(row).all():
+        raise ParseError("array values must be finite", reader.line_no)
+    return row
+
+
 def _read_array(reader: _LineReader, tag: str, name: str) -> np.ndarray:
     head = reader.next(f"'{tag} {name} ...'")
     parts = head.split()
@@ -60,15 +70,17 @@ def _read_array(reader: _LineReader, tag: str, name: str) -> np.ndarray:
         shape = tuple(int(d) for d in parts[2:])
     except ValueError:
         raise ParseError("array shape must be integers", reader.line_no) from None
+    if min(shape) < 0:
+        raise ParseError(f"array shape must be non-negative, got {shape}", reader.line_no)
     if len(shape) == 1:
-        row = _floats(reader.next("array values"), reader)
+        row = _row(reader, "array values")
         if row.shape[0] != shape[0]:
             raise ParseError(f"expected {shape[0]} values, got {row.shape[0]}", reader.line_no)
         return row
     if len(shape) == 2:
         rows = []
         for _ in range(shape[0]):
-            row = _floats(reader.next("array row"), reader)
+            row = _row(reader, "array row")
             if row.shape[0] != shape[1]:
                 raise ParseError(f"expected {shape[1]} values per row, got {row.shape[0]}",
                                  reader.line_no)
@@ -88,6 +100,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         config = json.loads(_expect_kv(reader, "config"))
     except json.JSONDecodeError:
         raise ParseError("config echo is not valid JSON", reader.line_no) from None
+    model = config.get("model") if isinstance(config, dict) else None
+    scorer = model.pop("scorer", "mlp") if isinstance(model, dict) else "mlp"
+    if scorer != "mlp":
+        raise SchemaError(f"checkpoint {path} uses {scorer!r} attention; only 'mlp' attention "
+                          f"is supported")
     phase = _expect_kv(reader, "phase")
     try:
         epoch = int(_expect_kv(reader, "epoch"))

@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -97,7 +98,7 @@ def _load_train_config(config_path: str, train_corpus, seed: int | None,
         raw["model"]["vocab_size"] = train_corpus.vocab.model_vocab_size
     config = TrainConfig.from_dict(raw)
     if seed is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "seed": seed})
+        config = replace(config, seed=seed)
     return config, (out_dir or file_out_dir or "runs")
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError, SchemaError
-from .rewards import edit_distance
 
 EOS = "<eos>"
 SOS = "<sos>"
@@ -140,8 +139,8 @@ def generate_corpus(vocab: Vocabulary, n_utts: int, len_range: tuple[int, int],
         raise ConfigError(f"n_utts must be non-negative, got {n_utts}")
     if frames_per_symbol < 1:
         raise ConfigError(f"frames_per_symbol must be positive, got {frames_per_symbol}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if feature_dim < 1:
         raise ConfigError(f"feature_dim must be positive, got {feature_dim}")
 
@@ -172,6 +171,9 @@ def generate_splits(vocab: Vocabulary, counts: dict[str, int],
     unknown = sorted(set(counts) - set(order))
     if unknown:
         raise ConfigError(f"unknown split names: {unknown}")
+    for name, n in counts.items():
+        if n < 0:
+            raise ConfigError(f"{name} split size must be non-negative, got {n}")
     total = sum(counts.get(name, 0) for name in order)
     pool = generate_corpus(vocab, total, len_range, frames_per_symbol,
                            noise_sigma, seed, feature_dim=feature_dim)
@@ -184,29 +186,6 @@ def generate_splits(vocab: Vocabulary, counts: dict[str, int],
                                utterances=pool.utterances[start:start + n])
             start += n
     return out
-
-
-def cer(hyp_ids, ref_ids) -> float:
-    """Character error rate: edit distance over reference length."""
-    ref_ids = list(ref_ids)
-    if not ref_ids:
-        raise ValueError("CER needs a non-empty reference")
-    return edit_distance(hyp_ids, ref_ids) / len(ref_ids)
-
-
-def corpus_cer(pairs) -> float:
-    """Pooled CER: total edit distance over total reference length."""
-    dist = 0
-    ref_len = 0
-    for hyp, ref in pairs:
-        ref = list(ref)
-        if not ref:
-            raise ValueError("CER needs non-empty references")
-        dist += edit_distance(hyp, ref)
-        ref_len += len(ref)
-    if ref_len == 0:
-        raise ValueError("corpus CER needs at least one utterance")
-    return dist / ref_len
 
 
 def _f17(x: float) -> str:
@@ -338,7 +317,12 @@ def load_corpus(path: str) -> Corpus:
             except ValueError:
                 raise ParseError("feature row contains a non-numeric value",
                                  reader.line_no) from None
-        utts.append(Utterance(uid=uid, features=np.array(rows), transcript=transcript))
+        features = np.array(rows)
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if bad.size:
+            raise ParseError("feature values must be finite",
+                             reader.line_no - n_frames + 1 + int(bad[0]))
+        utts.append(Utterance(uid=uid, features=features, transcript=transcript))
     if reader.pos != len(reader.lines):
         raise ParseError("trailing content after the last utterance", reader.pos + 1)
     return Corpus(vocab=vocab, feature_dim=feature_dim, utterances=utts)

@@ -4,14 +4,14 @@ Encoder: linear input projection + LeakyReLU, then stacked bidirectional
 LSTM layers; the top layers keep every second output frame, shrinking the
 time axis by two each; a batch of utterances runs, both directions of each,
 as rows of one recurrence. Decoder: single LSTM whose input is the previous
-grapheme embedding concatenated with the previous context vector; attention
-is computed from the fresh decoder state and the output layer reads the
-concatenation of decoder state and context.
+grapheme embedding concatenated with the previous context vector; MLP
+attention (Bahdanau-style: v . tanh(W_enc h_enc + W_dec h_dec)) is computed
+from the fresh decoder state and the output layer reads the concatenation of
+decoder state and context.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, check_field_types
-
-SCORERS = ("dot", "bilinear", "mlp")
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,6 @@ class ModelConfig:
     subsample_layers: int = 2
     embed_dim: int = 16
     dec_hidden: int = 64
-    scorer: str = "mlp"
     mlp_hidden: int = 32
 
     def __post_init__(self):
@@ -49,12 +46,6 @@ class ModelConfig:
             raise ConfigError(
                 f"subsample_layers must lie in [0, enc_layers-1], got "
                 f"{self.subsample_layers} with enc_layers={self.enc_layers}")
-        if self.scorer not in SCORERS:
-            raise ConfigError(f"scorer must be one of {SCORERS}, got {self.scorer!r}")
-        if self.scorer == "dot" and 2 * self.enc_hidden != self.dec_hidden:
-            raise ConfigError(
-                f"dot scorer requires 2*enc_hidden == dec_hidden, got "
-                f"{2 * self.enc_hidden} != {self.dec_hidden}")
 
     @property
     def eos_id(self) -> int:
@@ -90,12 +81,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}.w_ih"] = (eo, 4 * he)
             shapes[f"{prefix}.w_hh"] = (he, 4 * he)
             shapes[f"{prefix}.b"] = (4 * he,)
-    if config.scorer == "bilinear":
-        shapes["att.bilinear.w"] = (eo, hd)
-    elif config.scorer == "mlp":
-        shapes["att.mlp.w_enc"] = (eo, config.mlp_hidden)
-        shapes["att.mlp.w_dec"] = (hd, config.mlp_hidden)
-        shapes["att.mlp.v"] = (config.mlp_hidden,)
+    shapes["att.mlp.w_enc"] = (eo, config.mlp_hidden)
+    shapes["att.mlp.w_dec"] = (hd, config.mlp_hidden)
+    shapes["att.mlp.v"] = (config.mlp_hidden,)
     shapes["dec.embed.w"] = (config.vocab_size + 1, config.embed_dim)
     shapes["dec.lstm.w_ih"] = (config.embed_dim + eo, 4 * hd)
     shapes["dec.lstm.w_hh"] = (hd, 4 * hd)
@@ -122,13 +110,13 @@ def init_params(config: ModelConfig, seed: int, scale: float = 0.08) -> dict[str
 class EncoderStates:
     """Per-frame encoder states after subsampling, plus the raw frame count.
 
-    With the mlp scorer, ``mlp_proj`` holds the encoder side of the attention
-    preactivation, ``states @ att.mlp.w_enc``, computed once per utterance.
+    ``mlp_proj`` holds the encoder side of the attention preactivation,
+    ``states @ att.mlp.w_enc``, computed once per utterance.
     """
 
     states: Tensor  # (S', 2 * enc_hidden)
     source_length: int
-    mlp_proj: Tensor | None = None  # (S', mlp_hidden), mlp scorer only
+    mlp_proj: Tensor  # (S', mlp_hidden)
 
 
 def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[EncoderStates]:
@@ -163,9 +151,8 @@ def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[Enc
     layers = [[[params[f"enc.l{layer}.{d}.{w}"] for d in ("fwd", "bwd")]
                for w in ("w_ih", "w_hh", "b")] for layer in range(config.enc_layers)]
     w_proj, b_proj = params["enc.proj.w"], params["enc.proj.b"]
-    w_enc = params["att.mlp.w_enc"] if config.scorer == "mlp" else None
-    inputs = [w_proj, b_proj] + [t for layer in layers for pair in layer for t in pair]
-    inputs += [w_enc] if w_enc is not None else []
+    w_enc = params["att.mlp.w_enc"]
+    inputs = [w_proj, b_proj] + [t for layer in layers for pair in layer for t in pair] + [w_enc]
 
     xs = [x @ w_proj.data + b_proj.data for x in feats]
     xs = [np.where(x > 0, x, 0.01 * x) for x in xs]
@@ -175,14 +162,12 @@ def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[Enc
         if ad._recording():
             saved.append((xs, gates, cells))
         xs = [y[::2].copy() if layer >= first_subsampled else y for y in outs]
-    projs = [x @ w_enc.data for x in xs] if w_enc is not None else []
+    projs = [x @ w_enc.data for x in xs]
 
     def bwd(gs, sink):
-        dx = [gs[u] for u in order]
-        if w_enc is not None:
-            d_proj = [gs[nb + u] for u in order]
-            sink(w_enc, sum(x.T @ g for x, g in zip(xs, d_proj)))
-            dx = [d + g @ w_enc.data.T for d, g in zip(dx, d_proj)]
+        d_proj = [gs[nb + u] for u in order]
+        sink(w_enc, sum(x.T @ g for x, g in zip(xs, d_proj)))
+        dx = [gs[u] + g @ w_enc.data.T for u, g in zip(order, d_proj)]
         for layer in reversed(range(config.enc_layers)):
             inputs_l, gates, cells = saved[layer]
             d_out = np.zeros(cells.shape)
@@ -205,9 +190,8 @@ def encode(features, params: dict[str, Tensor], config: ModelConfig) -> list[Enc
         sink(b_proj, d_pre.sum(axis=0))
 
     rank = np.argsort(order).tolist()  # each utterance's row
-    outs = ad._make([xs[r] for r in rank] + [projs[r] for r in rank if projs], inputs, bwd)
-    return [EncoderStates(states=outs[u], source_length=feats[r].shape[0],
-                          mlp_proj=outs[nb + u] if projs else None)
+    outs = ad._make([xs[r] for r in rank] + [projs[r] for r in rank], inputs, bwd)
+    return [EncoderStates(states=outs[u], source_length=feats[r].shape[0], mlp_proj=outs[nb + u])
             for u, r in enumerate(rank)]
 
 
@@ -340,13 +324,8 @@ def attend(enc: EncoderStates, h_dec: np.ndarray, params: dict[str, Tensor],
     """Softmax alignment over encoder frames and the resulting context vector,
     for one decoder state."""
     henc = enc.states.data
-    if config.scorer == "dot":
-        scores = henc @ h_dec
-    elif config.scorer == "bilinear":
-        scores = henc @ (params["att.bilinear.w"].data @ h_dec)
-    else:
-        pre = enc.mlp_proj.data + h_dec @ params["att.mlp.w_dec"].data
-        scores = np.tanh(pre) @ params["att.mlp.v"].data
+    pre = enc.mlp_proj.data + h_dec @ params["att.mlp.w_dec"].data
+    scores = np.tanh(pre) @ params["att.mlp.v"].data
     e = np.exp(scores - np.max(scores))
     alignment = e / e.sum()
     return alignment @ henc, alignment
@@ -390,11 +369,6 @@ def _gemv_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ w)[:, 0]
 
 
-def _mat_rows(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mat @ row for every row, again one matrix-vector product per row."""
-    return (mat @ rows[:, :, None])[:, :, 0]
-
-
 def _step_rows(enc: EncoderStates, params, config: ModelConfig, prev: np.ndarray,
                h: np.ndarray, c: np.ndarray, ctx: np.ndarray):
     """Advance R decoder rows by one symbol in plain numpy, off the tape.
@@ -414,16 +388,9 @@ def _step_rows(enc: EncoderStates, params, config: ModelConfig, prev: np.ndarray
     tc = np.tanh(c_new)
     h_new = o * tc
 
-    att = None  # the scorer's saved intermediate: W h (bilinear) or tanh(pre) (mlp)
-    if config.scorer == "dot":
-        scores = _mat_rows(henc, h_new)
-    elif config.scorer == "bilinear":
-        att = _mat_rows(params["att.bilinear.w"].data, h_new)
-        scores = _mat_rows(henc, att)
-    else:
-        q = _gemv_rows(h_new, params["att.mlp.w_dec"].data)
-        att = np.tanh(enc.mlp_proj.data + q[:, None, :])
-        scores = att @ params["att.mlp.v"].data
+    q = _gemv_rows(h_new, params["att.mlp.w_dec"].data)
+    att = np.tanh(enc.mlp_proj.data + q[:, None, :])
+    scores = att @ params["att.mlp.v"].data
     e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
     align = e / e.sum(axis=1, keepdims=True)
     ctx_new = _gemv_rows(align, henc)
@@ -456,13 +423,8 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
     w_ih, w_hh, b = params["dec.lstm.w_ih"], params["dec.lstm.w_hh"], params["dec.lstm.b"]
     w_out, b_out = params["dec.out.w"], params["dec.out.b"]
     henc = enc.states.data
-    inputs = [embed, w_ih, w_hh, b, w_out, b_out, enc.states]
-    if config.scorer == "bilinear":
-        w_att = params["att.bilinear.w"]
-        inputs.append(w_att)
-    elif config.scorer == "mlp":
-        proj, w_dec, v = enc.mlp_proj, params["att.mlp.w_dec"], params["att.mlp.v"]
-        inputs += [proj, w_dec, v]
+    proj, w_dec, v = enc.mlp_proj, params["att.mlp.w_dec"], params["att.mlp.v"]
+    inputs = [embed, w_ih, w_hh, b, w_out, b_out, enc.states, proj, w_dec, v]
 
     caps = np.asarray(caps, dtype=np.int64)
     num_rows = caps.shape[0]
@@ -500,10 +462,7 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
         dctx = np.zeros((num_rows, config.enc_out_dim))
         d_henc = np.zeros_like(henc)
         d_embed = np.zeros_like(embed.data)
-        if config.scorer == "bilinear":
-            d_w_att = np.zeros_like(w_att.data)
-        elif config.scorer == "mlp":
-            d_proj, d_w_dec, d_v = (np.zeros_like(t.data) for t in (proj, w_dec, v))
+        d_proj, d_w_dec, d_v = (np.zeros_like(t.data) for t in (proj, w_dec, v))
         xs, hs, das, hcs, dzs = [], [], [], [], []
         end = len(g_all)
         for (rows, prev_ids, h_prev, c_prev, h_new, log_probs, y, x, i, f, g, o, tc,
@@ -523,21 +482,13 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
             d_align = dctx_t @ henc.T
             d_henc += align.T @ dctx_t
             ds = align * (d_align - np.sum(align * d_align, axis=1, keepdims=True))
-            if config.scorer == "dot":
-                dh_t += ds @ henc
-                d_henc += ds.T @ h_new
-            elif config.scorer == "bilinear":
-                du = ds @ henc
-                d_henc += ds.T @ att
-                d_w_att += du.T @ h_new
-                dh_t += du @ w_att.data
-            else:
-                d_v += np.einsum("rs,rsa->a", ds, att)
-                d_pre = ds[:, :, None] * v.data * (1.0 - att * att)
-                d_proj += d_pre.sum(axis=0)
-                dq = d_pre.sum(axis=1)
-                d_w_dec += h_new.T @ dq
-                dh_t += dq @ w_dec.data.T
+            # scores = tanh(proj + h_new @ w_dec) @ v
+            d_v += np.einsum("rs,rsa->a", ds, att)
+            d_pre = ds[:, :, None] * v.data * (1.0 - att * att)
+            d_proj += d_pre.sum(axis=0)
+            dq = d_pre.sum(axis=1)
+            d_w_dec += h_new.T @ dq
+            dh_t += dq @ w_dec.data.T
             da, dc_t = _lstm_grads(dh_t, dc[rows], c_prev, i, f, g, o, tc)
             xs.append(x)
             hs.append(h_prev)
@@ -556,12 +507,9 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
         sink(w_out, np.concatenate(hcs).T @ dz_all)
         sink(b_out, dz_all.sum(axis=0))
         sink(enc.states, d_henc)
-        if config.scorer == "bilinear":
-            sink(w_att, d_w_att)
-        elif config.scorer == "mlp":
-            sink(proj, d_proj)
-            sink(w_dec, d_w_dec)
-            sink(v, d_v)
+        sink(proj, d_proj)
+        sink(w_dec, d_w_dec)
+        sink(v, d_v)
 
     results, end = [], 0
     for n in np.bincount(row_ids, minlength=num_rows).tolist():
@@ -605,7 +553,3 @@ def sequence_log_prob(features, transcript, params: dict[str, Tensor],
 def default_max_len(source_length: int, config: ModelConfig) -> int:
     """Decode-length cap: twice the subsampled frame count plus five."""
     return 2 * config.subsampled_length(source_length) + 5
-
-
-def count_params(config: ModelConfig) -> int:
-    return sum(math.prod(s) for s in param_shapes(config).values())

@@ -50,12 +50,6 @@ def finite_difference(f, tensors: list[Tensor], h: float = 1e-5) -> list[np.ndar
     return grads
 
 
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
-    """max |a - n| / max(|a|, floor) over all components."""
-    denom = np.maximum(np.abs(analytic), floor)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
 def l2_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
     """||a - n|| / max(||a||, floor), the whole-tensor relative error.
 
@@ -89,7 +83,7 @@ def make_tiny_task(seed: int = 2024, num_graphemes: int = 2, frames: int = 4,
     """
     config = ModelConfig(vocab_size=num_graphemes + 1, feature_dim=3, enc_hidden=3,
                          enc_layers=1, subsample_layers=0, embed_dim=3,
-                         dec_hidden=4, scorer="mlp", mlp_hidden=3)
+                         dec_hidden=4, mlp_hidden=3)
     params = init_params(config, seed, scale=init_scale)
     rng = np.random.default_rng([seed, 7])
     features = rng.normal(0.0, 1.0, size=(frames, config.feature_dim))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class TrainConfig:
         for name in ("batch_size", "mle_max_epochs", "rl_max_epochs", "patience", "eval_beam"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("model", "rl")}
-        out["model"] = {f.name: getattr(self.model, f.name) for f in fields(ModelConfig)}
-        out["rl"] = {f.name: getattr(self.rl, f.name) for f in fields(RlConfig)}
-        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -189,7 +182,7 @@ def _tensors_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 def _snapshot(config: TrainConfig, phase: str, epoch: int, dev_cer: float,
               params: dict[str, Tensor]) -> Checkpoint:
-    return Checkpoint(config=config.to_dict(), phase=phase, epoch=epoch, best_dev_cer=dev_cer,
+    return Checkpoint(config=asdict(config), phase=phase, epoch=epoch, best_dev_cer=dev_cer,
                       params={n: p.data.copy() for n, p in params.items()})
 
 
@@ -272,8 +265,7 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
             links = []  # (encoder output, its cut)
             for idx, utt, enc in zip(chunk, utts, encs):
                 cut = EncoderStates(states=ad.cut(enc.states), source_length=enc.source_length,
-                                    mlp_proj=None if enc.mlp_proj is None
-                                    else ad.cut(enc.mlp_proj))
+                                    mlp_proj=ad.cut(enc.mlp_proj))
                 links += [(enc.states, cut.states), (enc.mlp_proj, cut.mlp_proj)]
                 loss, totals = utterance_loss(utt, int(idx), epoch, cut)
                 ad.backward(loss)
@@ -284,7 +276,7 @@ def _run_phase(phase: str, train: Corpus, dev: Corpus, config: TrainConfig,
                 epoch_loss += value
                 reward_sum += float(sum(totals))
                 reward_count += len(totals)
-            ad.backward(ad.resume([(t, c.grad) for t, c in links if t is not None]))
+            ad.backward(ad.resume([(t, c.grad) for t, c in links]))
             grads = _grads_over(params, len(chunk))
             for name, g in grads.items():
                 if not np.all(np.isfinite(g)):

@@ -22,8 +22,7 @@ def tiny_task():
 @pytest.fixture
 def tiny_model():
     config = ModelConfig(vocab_size=4, feature_dim=3, enc_hidden=3, enc_layers=2,
-                         subsample_layers=1, embed_dim=3, dec_hidden=4,
-                         scorer="mlp", mlp_hidden=3)
+                         subsample_layers=1, embed_dim=3, dec_hidden=4, mlp_hidden=3)
     return config, init_params(config, 5)
 
 

@@ -8,9 +8,15 @@ import pytest
 
 from seqrl import autodiff as ad
 from seqrl.model import _rollout, encode
-from seqrl.oracles import finite_difference, max_rel_error
+from seqrl.oracles import finite_difference
 
 TOL = 1e-6
+
+
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
+    """max |a - n| / max(|a|, floor) over all components."""
+    denom = np.maximum(np.abs(analytic), floor)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def check_op_gradients(f, tensors, h=1e-5, floor=1e-8):
@@ -226,6 +232,8 @@ def test_gradient_comparison_detects_mismatches():
     # a wrong analytic gradient (here off by 2x) cannot slip past the metric
     numeric = finite_difference(lambda: 0.5 * float(t.data @ t.data), [t])[0]
     assert max_rel_error(2.0 * t.data, numeric) > 0.4
+    assert max_rel_error(np.array([2.0]), np.array([2.0 + 2e-9])) \
+        == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_finite_difference_helper_linearity():

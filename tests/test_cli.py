@@ -68,6 +68,16 @@ def test_gen_data_rejects_bad_lengths(tmp_path):
     assert "error (config)" in result.stderr
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--noise-sigma", "nan"), ("--noise-sigma", "inf"), ("--num-dev", "-2")])
+def test_gen_data_rejects_bad_numbers(tmp_path, option, value):
+    result = CliRunner().invoke(main, ["gen-data", "--out", str(tmp_path / "x"),
+                                       "--num-train", "5", option, value])
+    assert result.exit_code == 2, result.output
+    assert "error (config)" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_mle_outputs(workspace):
     root, _, _ = workspace
     metrics = (root / "run1" / "mle_metrics.csv").read_text().splitlines()
@@ -185,7 +195,9 @@ def test_evaluate_rejects_mismatched_corpus(workspace, tmp_path):
     lambda config: dict(config, model=dict(config["model"], dropout=0.1)),
     lambda config: dict(config, model=[config["model"]]),
     lambda config: dict(config, model=dict(config["model"], enc_hidden=2.5)),
-], ids=["no-model", "unknown-model-key", "non-object-model", "mistyped-model-field"])
+    lambda config: dict(config, model=dict(config["model"], scorer="dot")),
+], ids=["no-model", "unknown-model-key", "non-object-model", "mistyped-model-field",
+        "dot-scorer"])
 def test_checkpoint_without_a_valid_model_config_is_a_schema_error(workspace, tmp_path, damage):
     root, runner, _ = workspace
     lines = (root / "run1" / "mle_best.ckpt").read_text().splitlines()
@@ -198,6 +210,51 @@ def test_checkpoint_without_a_valid_model_config_is_a_schema_error(workspace, tm
         assert result.exit_code == 3, result.output
         assert "error (schema)" in result.stderr
         assert str(ckpt) in result.stderr
+
+
+def test_checkpoint_echoing_the_mlp_scorer_evaluates_identically(workspace, tmp_path):
+    # checkpoints written while the scorer was a config field echo it
+    root, runner, _ = workspace
+    lines = (root / "run1" / "mle_best.ckpt").read_text().splitlines()
+    config = json.loads(lines[1][len("config "):])
+    config["model"]["scorer"] = "mlp"
+    lines[1] = "config " + json.dumps(config, sort_keys=True, separators=(",", ":"))
+    old = tmp_path / "old.ckpt"
+    old.write_text("\n".join(lines) + "\n")
+    assert "scorer" not in load_checkpoint(str(old)).config["model"]
+    for name, ckpt in (("old", old), ("new", root / "run1" / "mle_best.ckpt")):
+        run_ok(runner, ["evaluate", "--checkpoint", str(ckpt), "--corpus", str(root / "toy.dev"),
+                        "--beam", "2", "--report", str(tmp_path / f"{name}.csv")])
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
+def test_non_finite_values_and_negative_shapes_in_files_are_parse_errors(workspace, tmp_path):
+    root, runner, config_path = workspace
+    lines = (root / "toy.dev").read_text().splitlines()
+    lines[8] = " ".join(["nan"] + lines[8].split()[1:])
+    corpus = tmp_path / "nan.dev"
+    corpus.write_text("\n".join(lines) + "\n")
+    checkpoint = ["--checkpoint", str(root / "run1" / "mle_best.ckpt")]
+    for args in (["evaluate", *checkpoint, "--corpus", str(corpus)],
+                 ["train-mle", "--config", str(config_path), "--train", str(corpus),
+                  "--dev", str(root / "toy.dev"), "--out-dir", str(tmp_path / "run")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert "error (parse): line 9: feature values must be finite" in result.stderr
+    lines = (root / "run1" / "mle_best.ckpt").read_text().splitlines()
+    head = next(i for i, l in enumerate(lines) if l.startswith("param enc.proj.w "))
+    for at, damaged, message in ((head + 1, "inf " + " ".join(lines[head + 1].split()[1:]),
+                                  "array values must be finite"),
+                                 (head, "param enc.proj.w -1 8", "must be non-negative")):
+        bad = list(lines)
+        bad[at] = damaged
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_text("\n".join(bad) + "\n")
+        result = runner.invoke(main, ["evaluate", "--checkpoint", str(ckpt),
+                                      "--corpus", str(root / "toy.dev")])
+        assert result.exit_code == 3, result.output
+        assert f"error (parse): line {at + 1}: " in result.stderr
+        assert message in result.stderr
 
 
 def test_evaluate_rejects_a_corpus_sized_beyond_memory(workspace, tmp_path):
@@ -280,6 +337,13 @@ def test_config_file_errors(workspace, tmp_path):
     assert result.exit_code == 2
     assert "error (config)" in result.stderr
     assert "momentum" in result.stderr
+
+    # the attention scorer is no longer a choice; old configs naming it fail loudly
+    scorer = tmp_path / "scorer.json"
+    scorer.write_text(json.dumps({**CONFIG, "model": {**CONFIG["model"], "scorer": "mlp"}}))
+    result = runner.invoke(main, base + ["--config", str(scorer)])
+    assert result.exit_code == 2
+    assert "unknown model config keys: ['scorer']" in result.stderr
 
     sectionless = tmp_path / "sectionless.json"
     sectionless.write_text(json.dumps({"learning_rate": 1e-3}))

@@ -5,11 +5,34 @@ import os
 import numpy as np
 import pytest
 
-from seqrl.data import (Corpus, Utterance, Vocabulary, _atomic_open, cer, char32_vocabulary,
-                        corpus_cer, default_vocabulary, generate_corpus,
-                        generate_splits, load_corpus, prototype_matrix,
-                        save_corpus, split_paths)
+from seqrl.data import (Corpus, Utterance, Vocabulary, _atomic_open, char32_vocabulary,
+                        default_vocabulary, generate_corpus, generate_splits, load_corpus,
+                        prototype_matrix, save_corpus, split_paths)
 from seqrl.errors import ConfigError, ParseError, SchemaError
+from seqrl.rewards import edit_distance
+
+
+def cer(hyp_ids, ref_ids) -> float:
+    """Character error rate: edit distance over reference length."""
+    ref_ids = list(ref_ids)
+    if not ref_ids:
+        raise ValueError("CER needs a non-empty reference")
+    return edit_distance(hyp_ids, ref_ids) / len(ref_ids)
+
+
+def corpus_cer(pairs) -> float:
+    """Pooled CER: total edit distance over total reference length."""
+    dist = 0
+    ref_len = 0
+    for hyp, ref in pairs:
+        ref = list(ref)
+        if not ref:
+            raise ValueError("CER needs non-empty references")
+        dist += edit_distance(hyp, ref)
+        ref_len += len(ref)
+    if ref_len == 0:
+        raise ValueError("corpus CER needs at least one utterance")
+    return dist / ref_len
 
 
 def test_vocabulary_layout():
@@ -107,8 +130,9 @@ def test_generate_corpus_validation():
         generate_corpus(vocab, -1, (1, 4), 2, 0.1, seed=1)
     with pytest.raises(ConfigError, match="frames_per_symbol"):
         generate_corpus(vocab, 1, (1, 4), 0, 0.1, seed=1)
-    with pytest.raises(ConfigError, match="noise_sigma"):
-        generate_corpus(vocab, 1, (1, 4), 2, -0.1, seed=1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            generate_corpus(vocab, 1, (1, 4), 2, sigma, seed=1)
 
 
 def test_splits_are_disjoint_but_share_prototypes():
@@ -133,6 +157,9 @@ def test_splits_are_disjoint_but_share_prototypes():
             np.testing.assert_array_equal(utt.features[0], protos[utt.transcript[0]])
     with pytest.raises(ConfigError, match="unknown split"):
         generate_splits(vocab, {"validation": 1}, (1, 3), 2, 0.0, seed=12)
+    # a negative count would otherwise shrink the total the other splits draw from
+    with pytest.raises(ConfigError, match="dev split size"):
+        generate_splits(vocab, {"train": 5, "dev": -2}, (1, 3), 2, 0.0, seed=12)
 
 
 def test_cer_known_values():
@@ -208,6 +235,18 @@ def test_load_rejects_truncated_feature_row(tmp_path):
         load_corpus(str(path))
     assert excinfo.value.line == 8
     assert "line 8" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_feature_values(tmp_path, value):
+    path, lines = corpus_file_lines(tmp_path)
+    at = 14  # the third feature row of the second utterance
+    parts = lines[at].split()
+    lines[at] = " ".join(parts[:1] + [value] + parts[2:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="finite") as excinfo:
+        load_corpus(str(path))
+    assert excinfo.value.line == at + 1
 
 
 def test_load_rejects_structural_damage(tmp_path):

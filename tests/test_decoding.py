@@ -265,10 +265,9 @@ def test_beam_rejects_bad_width(tiny_model):
 # the row-batched rollout against the per-step reference
 
 
-def scorer_config(scorer, vocab=4):
+def rollout_config(vocab=4):
     return ModelConfig(vocab_size=vocab, feature_dim=3, enc_hidden=2, enc_layers=2,
-                       subsample_layers=1, embed_dim=3, dec_hidden=4,
-                       scorer=scorer, mlp_hidden=3)
+                       subsample_layers=1, embed_dim=3, dec_hidden=4, mlp_hidden=3)
 
 
 def stepwise_log_probs(feats, symbols, params, config):
@@ -332,9 +331,8 @@ def markov_params(config):
     return params
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_beam_search_matches_stepwise_reference_bitwise(scorer):
-    narrow, wide = scorer_config(scorer), scorer_config(scorer, vocab=9)
+def test_beam_search_matches_stepwise_reference_bitwise():
+    narrow, wide = rollout_config(), rollout_config(vocab=9)
     cases = [(narrow, init_params(narrow, seed, scale=1.0)) for seed in range(3)]
     # exact ties: with zero weights every expansion ties, so the tie-break
     # alone picks the survivors; in the chain, (2, 0) outscores (0, 0), so the
@@ -350,9 +348,8 @@ def test_beam_search_matches_stepwise_reference_bitwise(scorer):
         assert found.step_log_probs == expected.step_log_probs
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_rollouts_match_decode_step_bitwise(scorer):
-    config = scorer_config(scorer)
+def test_rollouts_match_decode_step_bitwise():
+    config = rollout_config()
     eos = config.eos_id
     for seed in range(4):
         params = init_params(config, seed, scale=1.0)
@@ -371,9 +368,8 @@ def test_rollouts_match_decode_step_bitwise(scorer):
             assert forced.step_log_probs == stepwise_log_probs(feats, symbols, params, config)
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_sample_m_independent_of_num_samples(scorer):
-    config = scorer_config(scorer)
+def test_sample_m_independent_of_num_samples():
+    config = rollout_config()
     params = init_params(config, 3, scale=1.0)
     feats = random_feats(500, frames=7)
     batches = {n: sample_sequences(feats, params, config, num_samples=n, max_len=6, rng=21)
@@ -384,11 +380,10 @@ def test_sample_m_independent_of_num_samples(scorer):
             assert hyp.step_log_probs == batches[17].samples[m].step_log_probs
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_forced_row_leaves_the_samples_unchanged(scorer):
+def test_forced_row_leaves_the_samples_unchanged():
     # the forced row runs first and draws nothing: the samples, their seeds
     # and their log-probs are bitwise those drawn without it
-    config = scorer_config(scorer)
+    config = rollout_config()
     params = init_params(config, 4, scale=1.0)
     feats = random_feats(510, frames=7)
     transcript = (2, 0, 1, 1)
@@ -439,11 +434,10 @@ def test_sampling_rejects_a_bad_transcript(tiny_model):
             assert batch.seeds[m] == (m,)
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_rollout_gradient_matches_finite_differences(scorer):
+def test_rollout_gradient_matches_finite_differences():
     # rows end at different steps and two are cut at their step caps; every
     # picked log-prob gets its own random coefficient
-    config = scorer_config(scorer)
+    config = rollout_config()
     params = init_params(config, 8, scale=1.0)
     feats = random_feats(600, frames=6)
     eos = config.eos_id

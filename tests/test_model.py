@@ -8,19 +8,19 @@ import pytest
 from seqrl import autodiff as ad
 from seqrl.errors import ConfigError
 from seqrl.oracles import finite_difference, l2_rel_error
-from seqrl.model import (ModelConfig, attend, count_params, decode_step,
-                         default_max_len, encode, init_params,
-                         initial_decoder_state, param_shapes, sequence_log_prob)
+from seqrl.model import (ModelConfig, attend, decode_step, default_max_len, encode,
+                         init_params, initial_decoder_state, param_shapes,
+                         sequence_log_prob)
 
 
-def attention_score(h_enc, h_dec, params, config):
+def attention_score(h_enc, h_dec, params):
     """Per-row reference scorer: one encoder state against one decoder state."""
-    if config.scorer == "dot":
-        return float(h_enc @ h_dec)
-    if config.scorer == "bilinear":
-        return float(h_enc @ (params["att.bilinear.w"].data @ h_dec))
     pre = h_enc @ params["att.mlp.w_enc"].data + h_dec @ params["att.mlp.w_dec"].data
     return float(np.tanh(pre) @ params["att.mlp.v"].data)
+
+
+def count_params(config):
+    return sum(math.prod(s) for s in param_shapes(config).values())
 
 
 def zero_params(config):
@@ -33,11 +33,6 @@ def test_config_rejects_bad_values():
         ModelConfig(vocab_size=1)
     with pytest.raises(ConfigError):
         ModelConfig(vocab_size=4, enc_layers=2, subsample_layers=2)
-    with pytest.raises(ConfigError):
-        ModelConfig(vocab_size=4, scorer="cosine")
-    with pytest.raises(ConfigError):
-        # dot attention needs matching widths
-        ModelConfig(vocab_size=4, scorer="dot", enc_hidden=3, dec_hidden=4)
 
 
 def test_id_layout():
@@ -143,9 +138,8 @@ BATCH_MODEL = dict(vocab_size=4, feature_dim=3, enc_hidden=3, enc_layers=3,
                    subsample_layers=2, embed_dim=3, dec_hidden=6, mlp_hidden=3)
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_encode_rows_are_independent_of_the_batch(scorer):
-    config = ModelConfig(scorer=scorer, **BATCH_MODEL)
+def test_encode_rows_are_independent_of_the_batch():
+    config = ModelConfig(**BATCH_MODEL)
     params = init_params(config, 13, scale=0.5)
     rng = np.random.default_rng(14)
     # odd lengths, equal lengths and the shortest legal input, unsorted
@@ -157,21 +151,17 @@ def test_encode_rows_are_independent_of_the_batch(scorer):
         alone = encode([x], params, config)[0]
         assert enc.states.shape == (config.subsampled_length(x.shape[0]), config.enc_out_dim)
         assert np.array_equal(enc.states.data, alone.states.data)
-        if scorer == "mlp":
-            assert np.array_equal(enc.mlp_proj.data, alone.mlp_proj.data)
-        else:
-            assert enc.mlp_proj is None and alone.mlp_proj is None
+        assert np.array_equal(enc.mlp_proj.data, alone.mlp_proj.data)
 
 
-@pytest.mark.parametrize("scorer", ["dot", "bilinear", "mlp"])
-def test_encode_gradients_match_finite_differences(scorer):
-    config = ModelConfig(scorer=scorer, **dict(BATCH_MODEL, enc_layers=2, subsample_layers=1))
+def test_encode_gradients_match_finite_differences():
+    config = ModelConfig(**dict(BATCH_MODEL, enc_layers=2, subsample_layers=1))
     params = init_params(config, 15, scale=0.6)
     rng = np.random.default_rng(16)
     # mixed lengths, so rows end at different steps and the padding is exercised
     feats = [rng.normal(size=(s, config.feature_dim)) for s in (5, 2, 7, 5)]
     encs = encode(feats, params, config)
-    outputs = [t for e in encs for t in (e.states, e.mlp_proj) if t is not None]
+    outputs = [t for e in encs for t in (e.states, e.mlp_proj)]
     # u @ T @ v for fixed random vectors u and v, summed over the outputs
     weights = [(rng.normal(size=t.shape[0]), rng.normal(size=t.shape[1])) for t in outputs]
 
@@ -184,11 +174,11 @@ def test_encode_gradients_match_finite_differences(scorer):
     def value():
         with ad.no_grad():
             again = encode(feats, params, config)
-        return loss([t for e in again for t in (e.states, e.mlp_proj) if t is not None])
+        return loss([t for e in again for t in (e.states, e.mlp_proj)])
 
     ad.backward(loss(outputs))
     checked = [n for n in params if n.startswith("enc.") or n == "att.mlp.w_enc"]
-    assert len(checked) == 2 + 6 * config.enc_layers + (scorer == "mlp")
+    assert len(checked) == 2 + 6 * config.enc_layers + 1
     for name in checked:
         numeric = finite_difference(value, [params[name]])[0]
         assert l2_rel_error(params[name].grad, numeric) <= 1e-6, name
@@ -206,32 +196,12 @@ def test_zero_params_give_zero_states_and_uniform_outputs():
     np.testing.assert_allclose(log_probs, np.full(5, -np.log(5.0)), atol=1e-15)
 
 
-def test_dot_score_on_unit_vectors():
-    config = ModelConfig(vocab_size=3, feature_dim=2, enc_hidden=2, enc_layers=1,
-                         subsample_layers=0, embed_dim=2, dec_hidden=4, scorer="dot")
-    params = zero_params(config)
-    e = np.zeros(4)
-    e[1] = 1.0
-    assert attention_score(e, e.copy(), params, config) == pytest.approx(1.0)
-
-
-def test_bilinear_identity_equals_dot():
-    config = ModelConfig(vocab_size=3, feature_dim=2, enc_hidden=2, enc_layers=1,
-                         subsample_layers=0, embed_dim=2, dec_hidden=4, scorer="bilinear")
-    params = zero_params(config)
-    params["att.bilinear.w"].data[:] = np.eye(4)
-    rng = np.random.default_rng(3)
-    h_enc, h_dec = rng.normal(size=4), rng.normal(size=4)
-    score = attention_score(h_enc, h_dec, params, config)
-    assert score == pytest.approx(float(h_enc @ h_dec), abs=1e-14)
-
-
 def test_mlp_score_zero_readout_is_zero(tiny_model):
     config, params = tiny_model
     params["att.mlp.v"].data[:] = 0.0
     rng = np.random.default_rng(4)
     score = attention_score(rng.normal(size=config.enc_out_dim),
-                            rng.normal(size=config.dec_hidden), params, config)
+                            rng.normal(size=config.dec_hidden), params)
     assert score == 0.0
 
 
@@ -255,7 +225,7 @@ def test_attend_is_softmax_weighted_sum(tiny_model):
     assert alignment.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(context, alignment @ enc.states.data, atol=1e-12)
     # the vectorized scores agree with the single-pair scorer
-    per_row = np.array([attention_score(h_enc, h_dec, params, config)
+    per_row = np.array([attention_score(h_enc, h_dec, params)
                         for h_enc in enc.states.data])
     shifted = np.exp(per_row - per_row.max())
     np.testing.assert_allclose(alignment, shifted / shifted.sum(), atol=1e-12)
