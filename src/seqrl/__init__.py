@@ -17,7 +17,7 @@ from .decoding import (Hypothesis, SampleBatch, beam_search, forced_decode,
 from .errors import ConfigError, ParseError, SchemaError, ToolkitError
 from .model import (ModelConfig, default_max_len, encode, init_params,
                     param_shapes, sequence_log_prob)
-from .objectives import RlConfig, mle_loss, rl_surrogate
+from .objectives import RlConfig, rl_surrogate
 from .rewards import (MovingStats, discounted_returns, edit_distance,
                       normalize_final, normalize_timewise,
                       prefix_edit_distances, step_rewards, total_reward)

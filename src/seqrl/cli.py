@@ -66,7 +66,7 @@ def main():
 @click.option("--frames-per-symbol", default=8, show_default=True)
 @click.option("--noise-sigma", default=0.3, show_default=True)
 @click.option("--feature-dim", default=16, show_default=True)
-@click.option("--seed", default=1, show_default=True)
+@click.option("--seed", default=1, show_default=True, type=click.IntRange(min=0))
 @_cli_errors
 def gen_data(out_prefix, num_train, num_dev, num_test, vocab_size, char32,
              min_len, max_len, frames_per_symbol, noise_sigma, feature_dim, seed):
@@ -218,7 +218,7 @@ def decode_cmd(ckpt_path, corpus_path, uid, index, beam):
 
 
 @main.command("oracle-check")
-@click.option("--seed", default=2024, show_default=True)
+@click.option("--seed", default=2024, show_default=True, type=click.IntRange(min=0))
 @click.option("--pairs", default=1000, show_default=True, type=click.IntRange(min=1),
               help="Fuzz pairs for the reward telescoping check.")
 @click.option("--mc-batches", default=2000, show_default=True, type=click.IntRange(min=1),

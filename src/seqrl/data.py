@@ -143,6 +143,8 @@ def generate_corpus(vocab: Vocabulary, n_utts: int, len_range: tuple[int, int],
         raise ConfigError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if feature_dim < 1:
         raise ConfigError(f"feature_dim must be positive, got {feature_dim}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     protos = prototype_matrix(vocab, feature_dim, seed)
     utts = []

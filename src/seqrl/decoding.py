@@ -5,7 +5,7 @@ produced without it (recorded as truncated). Hypothesis scores are length
 normalized: total log-prob divided by the grapheme count plus one, counting
 the eos step. Sampling, greedy decoding and forced scoring run as rows of
 the model's fused rollout; beam search runs its live hypotheses as rows of
-the rollout's decoder step.
+the model's ``decode_step``, the step the rollout runs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import (EncoderStates, ModelConfig, _grapheme_ids, _rollout, _step_rows,
-                    default_max_len, encode)
+from .model import (EncoderStates, ModelConfig, _grapheme_ids, _rollout, decode_step,
+                    default_max_len, encode, initial_decoder_state)
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,12 @@ def beam_search(features, params, config: ModelConfig, beam: int = 5,
     # one row per live hypothesis, kept in lexicographic order of graphemes,
     # so the row-major flat index orders expansions as their graphemes do
     prev = np.array([config.sos_id])
-    h = np.zeros((1, config.dec_hidden))
-    c = np.zeros((1, config.dec_hidden))
-    ctx = np.zeros((1, config.enc_out_dim))
+    h, c, ctx = initial_decoder_state(config, 1)
     cum = np.zeros(1)
     live = [((), ())]  # each row's (graphemes, step log-probs)
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        log_probs, h, c, ctx, _ = _step_rows(enc, params, config, prev, h, c, ctx)
+        log_probs, h, c, ctx, _ = decode_step(enc, params, config, prev, h, c, ctx)
         scores = (cum[:, None] + log_probs).ravel()
         # the stable sort breaks score ties toward the smaller flat index,
         # that is the smaller grapheme sequence; survivors keep flat order

@@ -7,7 +7,10 @@ as rows of one recurrence. Decoder: single LSTM whose input is the previous
 grapheme embedding concatenated with the previous context vector; MLP
 attention (Bahdanau-style: v . tanh(W_enc h_enc + W_dec h_dec)) is computed
 from the fresh decoder state and the output layer reads the concatenation of
-decoder state and context.
+decoder state and context. ``decode_step`` is the one decoder step, over
+rows of hypotheses side by side; sampling, greedy decoding and forced
+scoring run it through the rollout, which records the run as one tape node,
+and beam search runs it directly.
 """
 
 from __future__ import annotations
@@ -307,94 +310,59 @@ def _bilstm_backward(d_out, xs, gates, cells, w_ih, w_hh):
     return np.split(d_x, np.cumsum(lengths)[:-1]), grads
 
 
-@dataclass
-class DecoderState:
-    h: np.ndarray
-    c: np.ndarray
-    prev_context: np.ndarray
-
-
-def initial_decoder_state(config: ModelConfig) -> DecoderState:
-    return DecoderState(h=np.zeros(config.dec_hidden), c=np.zeros(config.dec_hidden),
-                        prev_context=np.zeros(config.enc_out_dim))
-
-
-def attend(enc: EncoderStates, h_dec: np.ndarray, params: dict[str, Tensor],
-           config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax alignment over encoder frames and the resulting context vector,
-    for one decoder state."""
-    henc = enc.states.data
-    pre = enc.mlp_proj.data + h_dec @ params["att.mlp.w_dec"].data
-    scores = np.tanh(pre) @ params["att.mlp.v"].data
-    e = np.exp(scores - np.max(scores))
-    alignment = e / e.sum()
-    return alignment @ henc, alignment
-
-
-def decode_step(prev_id: int, state: DecoderState, enc: EncoderStates,
-                params: dict[str, Tensor], config: ModelConfig) -> tuple[np.ndarray, DecoderState]:
-    """Advance the decoder by one symbol; returns (log_probs, new_state).
-
-    The LSTM consumes [embed(prev_id); previous context]; attention runs on
-    the new hidden state; logits read [hidden; context]. This is the
-    per-step reference that the tests hold the rollout and beam search to,
-    bit for bit: plain numpy, one vector at a time, recording nothing on the
-    tape. No library code calls it or ``attend``; the benchmark's tracer
-    looks both up by name.
-    """
-    prev_id = int(prev_id)
-    if prev_id < 0 or prev_id > config.sos_id:
-        raise IndexError(f"symbol id {prev_id} out of range [0, {config.sos_id}]")
-    x = np.concatenate([params["dec.embed.w"].data[prev_id], state.prev_context])
-    pre = (x @ params["dec.lstm.w_ih"].data + state.h @ params["dec.lstm.w_hh"].data
-           + params["dec.lstm.b"].data)
-    i, f, g, o = _lstm_gates(pre, config.dec_hidden)
-    c_new = f * state.c + i * g
-    h_new = o * np.tanh(c_new)
-    context, _ = attend(enc, h_new, params, config)
-    logits = (np.concatenate([h_new, context]) @ params["dec.out.w"].data
-              + params["dec.out.b"].data)
-    shifted = logits - np.max(logits)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted)))
-    return log_probs, DecoderState(h=h_new, c=c_new, prev_context=context)
+def initial_decoder_state(config: ModelConfig, rows: int):
+    """The zero decoder state ``(h, c, ctx)`` of ``rows`` rows: hidden and
+    cell state, and previous context."""
+    return (np.zeros((rows, config.dec_hidden)), np.zeros((rows, config.dec_hidden)),
+            np.zeros((rows, config.enc_out_dim)))
 
 
 def _gemv_rows(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """rows @ w as one vector-matrix product per row.
 
     A single (R, K) @ (K, N) product would run as a GEMM whose last bits
-    depend on R; per-row products give each row exactly the bits of the
-    1-D product in ``decode_step``, whatever the number of rows.
+    depend on R; per-row products give each row exactly the bits of the 1-D
+    product, so ``decode_step`` gives a row the same bits whatever the
+    number of rows beside it.
     """
     return (rows[:, None, :] @ w)[:, 0]
 
 
-def _step_rows(enc: EncoderStates, params, config: ModelConfig, prev: np.ndarray,
-               h: np.ndarray, c: np.ndarray, ctx: np.ndarray):
-    """Advance R decoder rows by one symbol in plain numpy, off the tape.
+def attend(enc: EncoderStates, h: np.ndarray, params: dict[str, Tensor]):
+    """MLP attention of R decoder rows over the encoder frames.
 
-    ``prev`` holds each row's previous symbol id; ``h``, ``c`` and ``ctx``
-    its decoder state and previous context, one row each. Returns the (R, V)
-    log-probs, the new ``h``, ``c`` and context, and the arrays the
-    rollout's backward saves. Each row gets exactly the bits of
-    ``decode_step`` for that row alone.
+    ``h`` holds each row's decoder state. Returns each row's context, its
+    softmax alignment over the frames, (R, S'), and the tanh activations
+    ``tanh(mlp_proj + h @ att.mlp.w_dec)``, (R, S', mlp_hidden), that the
+    scores read.
     """
-    hd, henc = config.dec_hidden, enc.states.data
-    x = np.concatenate([params["dec.embed.w"].data[prev], ctx], axis=1)
-    pre = (_gemv_rows(x, params["dec.lstm.w_ih"].data)
-           + _gemv_rows(h, params["dec.lstm.w_hh"].data) + params["dec.lstm.b"].data)
-    i, f, g, o = _lstm_gates(pre, hd)
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-
-    q = _gemv_rows(h_new, params["att.mlp.w_dec"].data)
+    q = _gemv_rows(h, params["att.mlp.w_dec"].data)
     att = np.tanh(enc.mlp_proj.data + q[:, None, :])
     scores = att @ params["att.mlp.v"].data
     e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
     align = e / e.sum(axis=1, keepdims=True)
-    ctx_new = _gemv_rows(align, henc)
+    return _gemv_rows(align, enc.states.data), align, att
 
+
+def decode_step(enc: EncoderStates, params: dict[str, Tensor], config: ModelConfig,
+                prev: np.ndarray, h: np.ndarray, c: np.ndarray, ctx: np.ndarray):
+    """Advance R decoder rows by one symbol in plain numpy, off the tape.
+
+    ``prev`` holds each row's previous symbol id; ``h``, ``c`` and ``ctx``
+    its decoder state and previous context, one row each. The LSTM consumes
+    [embed(prev); previous context], attention runs on the new hidden state
+    and the logits read [hidden; context]. Returns the (R, V) log-probs, the
+    new ``h``, ``c`` and context, and the arrays the rollout's backward
+    saves. Each row gets the same bits whatever the other rows hold.
+    """
+    x = np.concatenate([params["dec.embed.w"].data[prev], ctx], axis=1)
+    pre = (_gemv_rows(x, params["dec.lstm.w_ih"].data)
+           + _gemv_rows(h, params["dec.lstm.w_hh"].data) + params["dec.lstm.b"].data)
+    i, f, g, o = _lstm_gates(pre, config.dec_hidden)
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    ctx_new, align, att = attend(enc, h_new, params)
     hc = np.concatenate([h_new, ctx_new], axis=1)
     logits = _gemv_rows(hc, params["dec.out.w"].data) + params["dec.out.b"].data
     shifted = logits - np.max(logits, axis=1, keepdims=True)
@@ -409,9 +377,9 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
 
     ``choose(log_probs, rows, step)`` gets the (R, V) log-probs of the live
     rows and their row ids and returns each row's next symbol id. A row
-    drops out once it emits eos or has run ``caps[row]`` steps. Every value
-    equals, bit for bit, what a loop over ``decode_step`` gives for that row
-    alone.
+    drops out once it emits eos or has run ``caps[row]`` steps. Each step is
+    one ``decode_step`` on the live rows, so every value equals, bit for
+    bit, what that row gets decoded alone.
 
     Returns each row's plain ``(graphemes, step log-probs, truncated)``, eos
     left out of the graphemes, and one 1-D tensor of every picked log-prob,
@@ -430,14 +398,12 @@ def _rollout(enc: EncoderStates, params, config: ModelConfig, caps,
     num_rows = caps.shape[0]
     live = np.arange(num_rows)
     prev = np.full(num_rows, config.sos_id)
-    h = np.zeros((num_rows, hd))
-    c = np.zeros((num_rows, hd))
-    ctx = np.zeros((num_rows, config.enc_out_dim))
+    h, c, ctx = initial_decoder_state(config, num_rows)
     row_ids, symbols, picked = [], [], []
     cache = []
     for step in range(int(caps.max())):
-        log_probs, h_new, c_new, ctx_new, saved = _step_rows(enc, params, config,
-                                                             prev, h, c, ctx)
+        log_probs, h_new, c_new, ctx_new, saved = decode_step(enc, params, config,
+                                                              prev, h, c, ctx)
         y = np.asarray(choose(log_probs, live, step), dtype=np.int64)
         cache.append((live, prev, h, c, h_new, log_probs, y) + saved)
         row_ids.extend(live.tolist())

@@ -1,4 +1,4 @@
-"""Training objectives: teacher-forced likelihood and REINFORCE coefficients.
+"""Reward training's objective: REINFORCE coefficients.
 
 Both policy-gradient estimators are coefficient vectors computed off the
 tape, one entry per sampled step: a loss that is their dot product with the
@@ -6,6 +6,8 @@ sampled log-probs has the estimator as its gradient, and no gradient ever
 flows through the rewards. The time-distributed variant weights each step's
 log-prob by its normalized discounted return; the final-reward variant
 weights every step of a sample by that sample's normalized total reward.
+The teacher-forced loss needs no function here: it is the negated total
+that ``model.sequence_log_prob`` returns.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .decoding import SampleBatch
 from .errors import ConfigError, check_field_types
 from .rewards import (MovingStats, discounted_returns, normalize_final,
@@ -60,15 +60,6 @@ class RlConfig:
             raise ConfigError("across_samples normalization needs at least 2 samples")
         if self.rl_weight < 0.0:
             raise ConfigError(f"rl_weight must be non-negative, got {self.rl_weight}")
-
-
-def mle_loss(step_log_probs: Tensor, transcript) -> Tensor:
-    """Negative sum of the teacher-forced step log-prob vector (eos included)."""
-    transcript = list(transcript)
-    if step_log_probs.shape != (len(transcript),):
-        raise ValueError(f"got log-probs of shape {step_log_probs.shape} for a "
-                         f"transcript of length {len(transcript)}")
-    return ad.scale(ad.sum_all(step_log_probs), -1.0)
 
 
 def rl_surrogate(batch: SampleBatch, ref, rl_config: RlConfig,

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .decoding import SampleBatch, forced_decode, sample_sequences
 from .model import ModelConfig, init_params, sequence_log_prob
-from .objectives import RlConfig, mle_loss, rl_surrogate
+from .objectives import RlConfig, rl_surrogate
 from .rewards import edit_distance, step_rewards
 
 
@@ -113,8 +113,8 @@ def mle_gradient_report(config: ModelConfig, params: dict[str, Tensor],
 
     for p in params.values():
         p.zero_grad()
-    total, per_step = sequence_log_prob(features, target, params, config)
-    ad.backward(mle_loss(per_step, target))
+    total, _ = sequence_log_prob(features, target, params, config)
+    ad.backward(ad.scale(total, -1.0))
 
     report = {}
     for name, p in params.items():

@@ -23,7 +23,7 @@ from .data import Corpus, _f17, _write_lines
 from .decoding import beam_search, greedy_decode, sample_sequences
 from .errors import ConfigError, SchemaError, check_field_types
 from .model import EncoderStates, ModelConfig, encode, init_params, sequence_log_prob
-from .objectives import RlConfig, mle_loss, rl_surrogate
+from .objectives import RlConfig, rl_surrogate
 from .rewards import MovingStats, edit_distance
 
 # substream purpose tags (first entry after the seed in every derivation)
@@ -308,8 +308,8 @@ def _teacher_forced_loss(params: dict[str, Tensor], model: ModelConfig):
     log-prob of the transcript and eos."""
     def utterance_loss(utt, idx, epoch, enc):
         target = utt.transcript + (model.eos_id,)
-        _, per_step = sequence_log_prob(utt.features, target, params, model, enc=enc)
-        return mle_loss(per_step, target), ()
+        total, _ = sequence_log_prob(utt.features, target, params, model, enc=enc)
+        return ad.scale(total, -1.0), ()
     return utterance_loss
 
 

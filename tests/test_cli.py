@@ -69,12 +69,16 @@ def test_gen_data_rejects_bad_lengths(tmp_path):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--noise-sigma", "nan"), ("--noise-sigma", "inf"), ("--num-dev", "-2")])
+    ("--noise-sigma", "nan"), ("--noise-sigma", "inf"), ("--num-dev", "-2"), ("--seed", "-1")])
 def test_gen_data_rejects_bad_numbers(tmp_path, option, value):
     result = CliRunner().invoke(main, ["gen-data", "--out", str(tmp_path / "x"),
                                        "--num-train", "5", option, value])
     assert result.exit_code == 2, result.output
-    assert "error (config)" in result.stderr
+    # click's range check rejects a negative seed before the library sees it
+    if option == "--seed":
+        assert "Invalid value for '--seed'" in result.stderr
+    else:
+        assert "error (config)" in result.stderr
     assert not list(tmp_path.iterdir())
 
 
@@ -352,6 +356,13 @@ def test_config_file_errors(workspace, tmp_path):
 
     result = runner.invoke(main, base + ["--config", str(tmp_path / "absent.json")])
     assert result.exit_code == 2  # click's own missing-file handling
+
+
+def test_oracle_check_rejects_a_negative_seed():
+    result = CliRunner().invoke(main, ["oracle-check", "--seed", "-1", "--pairs", "1"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--seed'" in result.stderr
+    assert result.stdout == ""
 
 
 def test_oracle_check_quick_pass():

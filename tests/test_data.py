@@ -133,6 +133,8 @@ def test_generate_corpus_validation():
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="noise_sigma"):
             generate_corpus(vocab, 1, (1, 4), 2, sigma, seed=1)
+    with pytest.raises(ConfigError, match="seed"):
+        generate_corpus(vocab, 1, (1, 4), 2, 0.1, seed=-1)
 
 
 def test_splits_are_disjoint_but_share_prototypes():

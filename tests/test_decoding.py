@@ -11,11 +11,11 @@ from seqrl import autodiff as ad
 from seqrl import model
 from seqrl.decoding import (SampleBatch, _finish, beam_search, forced_decode, greedy_decode,
                             sample_sequences)
-from seqrl.model import (ModelConfig, _rollout, decode_step, default_max_len, encode,
-                         init_params, initial_decoder_state, sequence_log_prob)
+from seqrl.model import (ModelConfig, _rollout, default_max_len, encode, init_params,
+                         sequence_log_prob)
 from seqrl.oracles import finite_difference, l2_rel_error
 
-from test_model import zero_params
+from test_model import reference_initial_state, reference_step, zero_params
 
 
 def small_config(vocab=4):
@@ -192,25 +192,49 @@ def test_decoders_reject_max_len_below_one(tiny_model, max_len):
             decode(feats, params, config, max_len=max_len)
 
 
-def test_library_decoders_skip_the_stepwise_decoder(tiny_model, monkeypatch):
-    # replace every seqrl module's reference, as the benchmark's tracer does
-    def forbidden(*_args, **_kwargs):
-        raise AssertionError("the per-step reference decoder ran")
-
-    for name in ("decode_step", "attend"):
+def test_every_decoder_runs_decode_step_once_per_step(monkeypatch):
+    # rebind every seqrl module's reference, as the benchmark's tracer does
+    calls = {"decode_step": 0, "attend": 0}
+    for name in calls:
         original = getattr(model, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
         for mod_name, module in list(sys.modules.items()):
             if module is not None and mod_name.split(".")[0] == "seqrl":
                 for attr, value in list(vars(module).items()):
                     if value is original:
-                        monkeypatch.setattr(module, attr, forbidden)
-    config, params = tiny_model
-    feats = random_feats(8)
-    sample_sequences(feats, params, config, num_samples=3, max_len=4, rng=0)
-    greedy_decode(feats, params, config)
-    beam_search(feats, params, config, beam=5)
-    forced_decode(feats, params, config, [0, 1])
-    sequence_log_prob(feats, [0, 1, config.eos_id], params, config)
+                        monkeypatch.setattr(module, attr, counted)
+
+    def steps(decode):
+        calls.update(decode_step=0, attend=0)
+        out = decode()
+        assert calls["attend"] == calls["decode_step"]
+        return calls["decode_step"], out
+
+    config = rollout_config()
+    params = init_params(config, 0, scale=1.0)
+    feats = random_feats(8, frames=6)
+    n, hyp = steps(lambda: greedy_decode(feats, params, config))
+    assert n == len(hyp.step_log_probs) > 1
+    n, batch = steps(lambda: sample_sequences(feats, params, config, num_samples=6,
+                                              max_len=4, rng=0))
+    assert n == max(len(h.step_log_probs) for h in batch.samples)
+    assert len({len(h.step_log_probs) for h in batch.samples}) > 1
+    n, (hyp, _) = steps(lambda: forced_decode(feats, params, config, [0, 1, 2]))
+    assert n == len(hyp.step_log_probs) == 4
+    n, _ = steps(lambda: sequence_log_prob(feats, [0, 1, config.eos_id], params, config))
+    assert n == 3
+    # a model that never emits eos keeps every hypothesis alive to max_len;
+    # one that always does ends a beam of one after its first step
+    for eos_bias, beam, expected in ((-50.0, 3, 4), (50.0, 1, 1)):
+        small = small_config()
+        zero = zero_params(small)
+        zero["dec.out.b"].data[small.eos_id] = eos_bias
+        n, _ = steps(lambda: beam_search(np.zeros((3, 3)), zero, small, beam=beam, max_len=4))
+        assert n == expected
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -271,32 +295,32 @@ def rollout_config(vocab=4):
 
 
 def stepwise_log_probs(feats, symbols, params, config):
-    """Per-step log-probs of a symbol sequence from a loop over decode_step."""
+    """Per-step log-probs of a symbol sequence from a loop over reference_step."""
     with ad.no_grad():
         enc = encode([feats], params, config)[0]
-        state = initial_decoder_state(config)
+        state = reference_initial_state(config)
         prev = config.sos_id
         out = []
         for y in symbols:
-            log_probs, state = decode_step(prev, state, enc, params, config)
+            log_probs, state = reference_step(prev, state, enc, params, config)
             out.append(float(log_probs[y]))
             prev = y
     return tuple(out)
 
 
 def stepwise_beam_search(feats, params, config, beam, max_len=None):
-    """Beam search that pools every expansion of a loop over decode_step and
+    """Beam search that pools every expansion of a loop over reference_step and
     sorts the pool by (-cumulative log-prob, graphemes)."""
     with ad.no_grad():
         enc = encode([feats], params, config)[0]
         if max_len is None:
             max_len = default_max_len(enc.source_length, config)
-        live = [((), (), 0.0, initial_decoder_state(config), config.sos_id)]
+        live = [((), (), 0.0, reference_initial_state(config), config.sos_id)]
         finished = []
         for _ in range(max_len):
             pool = []
             for graphemes, lps, cum, state, prev in live:
-                log_probs, new_state = decode_step(prev, state, enc, params, config)
+                log_probs, new_state = reference_step(prev, state, enc, params, config)
                 for y in range(config.vocab_size):
                     lp = float(log_probs[y])
                     pool.append((cum + lp, graphemes + (y,), lps + (lp,), new_state, y))

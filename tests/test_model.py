@@ -1,6 +1,7 @@
 """Encoder/attention/decoder semantics against hand-computed oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from seqrl import autodiff as ad
 from seqrl.errors import ConfigError
 from seqrl.oracles import finite_difference, l2_rel_error
-from seqrl.model import (ModelConfig, attend, decode_step, default_max_len, encode,
-                         init_params, initial_decoder_state, param_shapes,
+from seqrl.model import (ModelConfig, _lstm_gates, attend, decode_step, default_max_len,
+                         encode, init_params, initial_decoder_state, param_shapes,
                          sequence_log_prob)
 
 
@@ -17,6 +18,58 @@ def attention_score(h_enc, h_dec, params):
     """Per-row reference scorer: one encoder state against one decoder state."""
     pre = h_enc @ params["att.mlp.w_enc"].data + h_dec @ params["att.mlp.w_dec"].data
     return float(np.tanh(pre) @ params["att.mlp.v"].data)
+
+
+# ---------------------------------------------------------------------------
+# the one-vector reference decoder step that the row-wise decode_step, the
+# rollout and beam search are held to, bit for bit
+
+
+@dataclass
+class ReferenceState:
+    h: np.ndarray
+    c: np.ndarray
+    prev_context: np.ndarray
+
+
+def reference_initial_state(config) -> ReferenceState:
+    return ReferenceState(h=np.zeros(config.dec_hidden), c=np.zeros(config.dec_hidden),
+                          prev_context=np.zeros(config.enc_out_dim))
+
+
+def reference_attend(enc, h_dec, params, config):
+    """Softmax alignment over encoder frames and the resulting context vector,
+    for one decoder state."""
+    henc = enc.states.data
+    pre = enc.mlp_proj.data + h_dec @ params["att.mlp.w_dec"].data
+    scores = np.tanh(pre) @ params["att.mlp.v"].data
+    e = np.exp(scores - np.max(scores))
+    alignment = e / e.sum()
+    return alignment @ henc, alignment
+
+
+def reference_step(prev_id, state, enc, params, config):
+    """Advance the decoder by one symbol; returns (log_probs, new_state).
+
+    The LSTM consumes [embed(prev_id); previous context]; attention runs on
+    the new hidden state; logits read [hidden; context]. Plain numpy, one
+    vector at a time, recording nothing on the tape.
+    """
+    prev_id = int(prev_id)
+    if prev_id < 0 or prev_id > config.sos_id:
+        raise IndexError(f"symbol id {prev_id} out of range [0, {config.sos_id}]")
+    x = np.concatenate([params["dec.embed.w"].data[prev_id], state.prev_context])
+    pre = (x @ params["dec.lstm.w_ih"].data + state.h @ params["dec.lstm.w_hh"].data
+           + params["dec.lstm.b"].data)
+    i, f, g, o = _lstm_gates(pre, config.dec_hidden)
+    c_new = f * state.c + i * g
+    h_new = o * np.tanh(c_new)
+    context, _ = reference_attend(enc, h_new, params, config)
+    logits = (np.concatenate([h_new, context]) @ params["dec.out.w"].data
+              + params["dec.out.b"].data)
+    shifted = logits - np.max(logits)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted)))
+    return log_probs, ReferenceState(h=h_new, c=c_new, prev_context=context)
 
 
 def count_params(config):
@@ -191,9 +244,12 @@ def test_zero_params_give_zero_states_and_uniform_outputs():
     x = np.random.default_rng(2).normal(size=(6, 3))
     enc = encode([x], params, config)[0]
     np.testing.assert_array_equal(enc.states.data, np.zeros((3, 6)))
-    log_probs, _ = decode_step(config.sos_id, initial_decoder_state(config), enc,
-                               params, config)
-    np.testing.assert_allclose(log_probs, np.full(5, -np.log(5.0)), atol=1e-15)
+    prev = np.array([config.sos_id, 0, 3])
+    log_probs, h, c, ctx, _ = decode_step(enc, params, config, prev,
+                                          *initial_decoder_state(config, 3))
+    np.testing.assert_allclose(log_probs, np.full((3, 5), -np.log(5.0)), atol=1e-15)
+    for state, width in ((h, 4), (c, 4), (ctx, 6)):
+        np.testing.assert_array_equal(state, np.zeros((3, width)))
 
 
 def test_mlp_score_zero_readout_is_zero(tiny_model):
@@ -210,37 +266,53 @@ def test_attend_single_frame_is_certain(tiny_model):
     enc = encode([np.random.default_rng(5).normal(size=(2, config.feature_dim))],
                  params, config)[0]
     assert enc.states.shape[0] == 1
-    context, alignment = attend(enc, np.random.default_rng(6).normal(size=config.dec_hidden),
-                                params, config)
-    np.testing.assert_array_equal(alignment, [1.0])
-    np.testing.assert_allclose(context, enc.states.data[0], atol=1e-15)
+    h = np.random.default_rng(6).normal(size=(3, config.dec_hidden))
+    context, alignment, _ = attend(enc, h, params)
+    np.testing.assert_array_equal(alignment, np.ones((3, 1)))
+    np.testing.assert_allclose(context, np.repeat(enc.states.data, 3, axis=0), atol=1e-15)
 
 
 def test_attend_is_softmax_weighted_sum(tiny_model):
     config, params = tiny_model
     enc = encode([np.random.default_rng(7).normal(size=(6, config.feature_dim))],
                  params, config)[0]
-    h_dec = np.random.default_rng(8).normal(size=config.dec_hidden)
-    context, alignment = attend(enc, h_dec, params, config)
-    assert alignment.sum() == pytest.approx(1.0, abs=1e-12)
+    h = np.random.default_rng(8).normal(size=(4, config.dec_hidden))
+    context, alignment, att = attend(enc, h, params)
+    assert alignment.shape == (4, enc.states.shape[0])
+    assert att.shape == (4, enc.states.shape[0], config.mlp_hidden)
+    np.testing.assert_allclose(alignment.sum(axis=1), np.ones(4), atol=1e-12)
     np.testing.assert_allclose(context, alignment @ enc.states.data, atol=1e-12)
-    # the vectorized scores agree with the single-pair scorer
-    per_row = np.array([attention_score(h_enc, h_dec, params)
-                        for h_enc in enc.states.data])
-    shifted = np.exp(per_row - per_row.max())
-    np.testing.assert_allclose(alignment, shifted / shifted.sum(), atol=1e-12)
+    for h_dec, a, row_att in zip(h, alignment, att):
+        np.testing.assert_allclose(
+            row_att, np.tanh(enc.mlp_proj.data + h_dec @ params["att.mlp.w_dec"].data),
+            atol=1e-12)
+        # the vectorized scores agree with the single-pair scorer
+        per_row = np.array([attention_score(h_enc, h_dec, params)
+                            for h_enc in enc.states.data])
+        shifted = np.exp(per_row - per_row.max())
+        np.testing.assert_allclose(a, shifted / shifted.sum(), atol=1e-12)
+
+
+def random_decoder_rows(config, rows, seed):
+    """Previous symbols (sos among them) and random decoder states of ``rows`` rows."""
+    rng = np.random.default_rng([seed, rows])
+    prev = rng.integers(0, config.sos_id + 1, size=rows)
+    prev[0] = config.sos_id
+    return (prev, rng.normal(size=(rows, config.dec_hidden)),
+            rng.normal(size=(rows, config.dec_hidden)),
+            rng.normal(size=(rows, config.enc_out_dim)))
 
 
 def test_decode_step_contract(tiny_model):
     config, params = tiny_model
     enc = encode([np.random.default_rng(9).normal(size=(4, config.feature_dim))],
                  params, config)[0]
-    state = initial_decoder_state(config)
-    log_probs, _ = decode_step(config.sos_id, state, enc, params, config)
-    assert log_probs.shape == (config.vocab_size,)
-    assert np.exp(log_probs).sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(IndexError):
-        decode_step(config.sos_id + 1, state, enc, params, config)
+    log_probs, h, c, ctx, _ = decode_step(enc, params, config,
+                                          *random_decoder_rows(config, 5, 9))
+    assert log_probs.shape == (5, config.vocab_size)
+    np.testing.assert_allclose(np.exp(log_probs).sum(axis=1), np.ones(5), atol=1e-12)
+    assert h.shape == c.shape == (5, config.dec_hidden)
+    assert ctx.shape == (5, config.enc_out_dim)
 
 
 def test_reference_step_returns_arrays_and_records_nothing(tiny_model):
@@ -250,12 +322,31 @@ def test_reference_step_returns_arrays_and_records_nothing(tiny_model):
         enc = encode([np.random.default_rng(9).normal(size=(4, config.feature_dim))],
                      params, config)[0]
     before = next(ad._COUNTER)
-    log_probs, state = decode_step(config.sos_id, initial_decoder_state(config), enc,
-                                   params, config)
-    context, alignment = attend(enc, state.h, params, config)
+    log_probs, h, c, ctx, saved = decode_step(enc, params, config,
+                                              *random_decoder_rows(config, 3, 10))
+    attended = attend(enc, h, params)
     assert next(ad._COUNTER) == before + 1
-    for value in (log_probs, state.h, state.c, state.prev_context, context, alignment):
+    for value in (log_probs, h, c, ctx) + saved + attended:
         assert type(value) is np.ndarray
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_decode_step_rows_equal_the_one_vector_reference(tiny_model, rows):
+    config, _ = tiny_model
+    params = init_params(config, 12, scale=1.0)
+    enc = encode([np.random.default_rng(11).normal(size=(7, config.feature_dim))],
+                 params, config)[0]
+    prev, h, c, ctx = random_decoder_rows(config, rows, 12)
+    log_probs, h_new, c_new, ctx_new, saved = decode_step(enc, params, config, prev, h, c, ctx)
+    align = saved[-2]  # saved is (x, i, f, g, o, tc, att, align, hc)
+    for r in range(rows):
+        state = ReferenceState(h=h[r], c=c[r], prev_context=ctx[r])
+        expected, new_state = reference_step(prev[r], state, enc, params, config)
+        assert np.array_equal(log_probs[r], expected)
+        assert np.array_equal(h_new[r], new_state.h)
+        assert np.array_equal(c_new[r], new_state.c)
+        assert np.array_equal(ctx_new[r], new_state.prev_context)
+        assert np.array_equal(align[r], reference_attend(enc, new_state.h, params, config)[1])
 
 
 def test_sequence_log_prob_sums_per_step(tiny_model):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from seqrl import autodiff as ad
+from seqrl.data import Utterance
 from seqrl.decoding import Hypothesis, SampleBatch, _finish, sample_sequences
 from seqrl.errors import ConfigError
 from seqrl.model import _rollout, encode, sequence_log_prob
-from seqrl.objectives import RlConfig, mle_loss, rl_surrogate
+from seqrl.objectives import RlConfig, rl_surrogate
 from seqrl.rewards import MovingStats, discounted_returns, step_rewards, total_reward
+from seqrl.training import _teacher_forced_loss
 
 from test_decoding import random_feats
 
@@ -60,12 +62,12 @@ def test_mle_loss_is_negative_total_log_prob(tiny_model):
     config, params = tiny_model
     feats = random_feats(20)
     transcript = [0, 1, config.eos_id]
-    total, per_step = sequence_log_prob(feats, transcript, params, config)
-    loss = mle_loss(per_step, transcript)
+    total, _ = sequence_log_prob(feats, transcript, params, config)
+    # the utterance loss that teacher-forced training differentiates
+    utt = Utterance(uid="u0", features=feats, transcript=tuple(transcript[:-1]))
+    loss, _ = _teacher_forced_loss(params, config)(utt, 0, 1, encode([feats], params, config)[0])
     assert loss.item() == -total.item()
     assert loss.item() > 0.0
-    with pytest.raises(ValueError, match="transcript"):
-        mle_loss(per_step, [0, 1])
 
 
 def test_mle_loss_gradient_negates_log_prob_gradient(tiny_model):
@@ -76,8 +78,8 @@ def test_mle_loss_gradient_negates_log_prob_gradient(tiny_model):
     ad.backward(total)
     g_lp = grads_snapshot(params)
     zero_grads(params)
-    _, per_step = sequence_log_prob(feats, transcript, params, config)
-    ad.backward(mle_loss(per_step, transcript))
+    total, _ = sequence_log_prob(feats, transcript, params, config)
+    ad.backward(ad.scale(total, -1.0))
     g_loss = grads_snapshot(params)
     for name in g_lp:
         np.testing.assert_array_equal(g_loss[name], -g_lp[name])
@@ -239,8 +241,8 @@ def test_teacher_forced_tape_does_not_grow_with_the_transcript(tiny_model):
     sizes = []
     for graphemes in ([1], [0, 2, 1, 1, 0, 2, 2, 0, 1, 0, 2]):
         transcript = graphemes + [config.eos_id]
-        _, per_step = sequence_log_prob(feats, transcript, params, config)
-        sizes.append(tape_size(mle_loss(per_step, transcript)))
+        total, _ = sequence_log_prob(feats, transcript, params, config)
+        sizes.append(tape_size(ad.scale(total, -1.0)))
     assert sizes[0] == sizes[1]
 
 

@@ -14,7 +14,7 @@ from seqrl.data import Corpus, default_vocabulary, generate_corpus
 from seqrl.decoding import beam_search, greedy_decode, sample_sequences
 from seqrl.errors import ConfigError, SchemaError
 from seqrl.model import ModelConfig, encode, init_params, sequence_log_prob
-from seqrl.objectives import RlConfig, mle_loss, rl_surrogate
+from seqrl.objectives import RlConfig, rl_surrogate
 from seqrl.rewards import MovingStats, edit_distance
 from seqrl.training import (AdamState, TrainConfig, adam_update, evaluate,
                             train_mle, train_rl, write_metrics)
@@ -386,8 +386,8 @@ def teacher_forced(utt, params, config):
     target = utt.transcript + (config.eos_id,)
 
     def loss(enc):
-        _, per_step = sequence_log_prob(utt.features, target, params, config, enc=enc)
-        return mle_loss(per_step, target), ()
+        total, _ = sequence_log_prob(utt.features, target, params, config, enc=enc)
+        return ad.scale(total, -1.0), ()
     return loss
 
 
